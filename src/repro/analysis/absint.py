@@ -66,6 +66,7 @@ proved for all widths via the interval domain).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 from typing import TYPE_CHECKING, Optional
 
@@ -276,6 +277,10 @@ KIND_ROW_LOCAL = "row-local"
 KIND_COSET = "coset"
 KIND_TOP = "top"
 
+#: warp kinds, indexed by the codes :attr:`StepAbstract.kind` holds.
+KIND_NAMES = (KIND_EMPTY, KIND_ROW_LOCAL, KIND_COSET, KIND_TOP)
+_EMPTY, _ROW_LOCAL, _COSET, _TOP = range(len(KIND_NAMES))
+
 
 @dataclass(frozen=True, eq=False)
 class WarpAbstract:
@@ -314,131 +319,183 @@ class WarpAbstract:
 
 @dataclass(frozen=True, eq=False)
 class StepAbstract:
-    """Abstract state of one kernel step: one element per warp."""
+    """Abstract state of one kernel step, held column-wise over warps.
+
+    Attributes
+    ----------
+    step, op, array, w:
+        Which step (``-1`` when unnumbered) at which warp width.
+    kind:
+        ``(n_warps,)`` codes into :data:`KIND_NAMES` — the warp kinds
+        of :class:`WarpAbstract`.
+    n_rows, n_cols, n_addrs:
+        ``(n_warps,)`` distinct rows, distinct columns and merged
+        access counts.
+    k:
+        ``(n_warps,)`` common column stride of coset warps, 0 elsewhere.
+    coset_rows, coset_offsets:
+        Touched rows and their coset offsets ``c_r mod k`` of every
+        coset warp, concatenated in warp order (CSR values).
+    coset_bounds:
+        ``(n_warps + 1,)`` CSR bounds: warp ``i`` owns
+        ``coset_rows[coset_bounds[i]:coset_bounds[i + 1]]``, an empty
+        slice unless it is a coset warp.
+    """
 
     step: int
     op: str
     array: str
     w: int
-    warps: tuple[WarpAbstract, ...]
+    kind: np.ndarray
+    n_rows: np.ndarray
+    n_cols: np.ndarray
+    n_addrs: np.ndarray
+    k: np.ndarray
+    coset_rows: np.ndarray
+    coset_offsets: np.ndarray
+    coset_bounds: np.ndarray
+
+    @property
+    def n_warps(self) -> int:
+        return int(self.kind.size)
 
     @property
     def closed(self) -> bool:
         """True when every warp has an exact closed form (no ``top``)."""
-        return all(wa.kind != KIND_TOP for wa in self.warps)
+        return not bool(np.any(self.kind == _TOP))
 
     @property
     def coset_warps(self) -> int:
-        return sum(wa.kind == KIND_COSET for wa in self.warps)
+        return int(np.count_nonzero(self.kind == _COSET))
 
-    def describe(self) -> str:
-        kinds: dict[str, int] = {}
-        for wa in self.warps:
-            kinds[wa.kind] = kinds.get(wa.kind, 0) + 1
-        body = ", ".join(f"{n} {k}" for k, n in sorted(kinds.items()))
-        return f"step {self.step} ({self.op} {self.array}): {body}"
-
-
-def _coset_structure(
-    rows: np.ndarray, cols: np.ndarray, w: int
-) -> Optional[tuple[int, np.ndarray, np.ndarray]]:
-    """Factor a merged access set into per-row full cosets of ``k*Z_w``.
-
-    ``rows``/``cols`` hold the warp's distinct (row, col) pairs.
-    Returns ``(k, touched_rows, offsets)`` when every touched row's
-    column set is the full coset ``(c mod k) + k*Z_w`` of one common
-    subgroup, else ``None``.  A single column per row is the ``k = w``
-    coset; mixed subgroup sizes across rows do not factor.
-    """
-    order = np.lexsort((cols, rows))
-    r = rows[order]
-    c = cols[order]
-    starts = np.flatnonzero(np.concatenate(([True], r[1:] != r[:-1])))
-    ends = np.concatenate((starts[1:], [r.size]))
-    k: Optional[int] = None
-    out_rows = []
-    out_offsets = []
-    for s, e in zip(starts, ends):
-        cs = c[s:e]  # sorted distinct columns of one row
-        if cs.size == 1:
-            kr = w
-        else:
-            diffs = np.diff(cs)
-            kr = int(diffs[0])
-            if (diffs != kr).any() or kr * cs.size != w:
-                return None
-        if k is None:
-            k = kr
-        elif k != kr:
-            return None
-        out_rows.append(int(r[s]))
-        out_offsets.append(int(cs[0]) % kr)
-    assert k is not None
-    return (
-        k,
-        np.array(out_rows, dtype=np.int64),
-        np.array(out_offsets, dtype=np.int64),
-    )
-
-
-def abstract_step(step: "KernelStep", w: int, index: int = -1) -> StepAbstract:
-    """Abstract one kernel step warp by warp.
-
-    The concrete per-warp access set (active lanes, CRCW-merged) is
-    classified as ``empty`` / ``row-local`` / ``coset`` / ``top`` —
-    see :class:`WarpAbstract`.  Pure structure: no mapping, no draw.
-    """
-    iif = step.ii.ravel()
-    jjf = step.jj.ravel()
-    maskf = None if step.mask is None else step.mask.ravel()
-    n_warps = iif.size // w
-    warps = []
-    for wi in range(n_warps):
-        sl = slice(wi * w, (wi + 1) * w)
-        rr, cc = iif[sl], jjf[sl]
-        if maskf is not None:
-            act = maskf[sl]
-            rr, cc = rr[act], cc[act]
-        if rr.size == 0:
-            warps.append(WarpAbstract(wi, KIND_EMPTY, 0, 0, 0))
-            continue
-        merged = np.unique(rr * w + cc)
-        mr = merged // w
-        mc = merged % w
-        n_rows = int(np.unique(mr).size)
-        n_cols = int(np.unique(mc).size)
-        if n_rows == 1:
-            warps.append(
-                WarpAbstract(
-                    wi, KIND_ROW_LOCAL, 1, n_cols, int(merged.size)
-                )
-            )
-            continue
-        coset = _coset_structure(mr, mc, w)
-        if coset is not None:
-            k, rows, offsets = coset
-            warps.append(
+    @cached_property
+    def warps(self) -> tuple[WarpAbstract, ...]:
+        """One :class:`WarpAbstract` per warp, built on first access."""
+        out = []
+        for wi in range(self.n_warps):
+            code = int(self.kind[wi])
+            rows: Optional[np.ndarray] = None
+            offsets: Optional[np.ndarray] = None
+            if code == _COSET:
+                lo = int(self.coset_bounds[wi])
+                hi = int(self.coset_bounds[wi + 1])
+                rows = self.coset_rows[lo:hi]
+                offsets = self.coset_offsets[lo:hi]
+            out.append(
                 WarpAbstract(
                     wi,
-                    KIND_COSET,
-                    n_rows,
-                    n_cols,
-                    int(merged.size),
-                    k=k,
+                    KIND_NAMES[code],
+                    int(self.n_rows[wi]),
+                    int(self.n_cols[wi]),
+                    int(self.n_addrs[wi]),
+                    k=int(self.k[wi]),
                     rows=rows,
                     offsets=offsets,
                 )
             )
-        else:
-            warps.append(
-                WarpAbstract(wi, KIND_TOP, n_rows, n_cols, int(merged.size))
-            )
+        return tuple(out)
+
+    def describe(self) -> str:
+        counts = np.bincount(self.kind, minlength=len(KIND_NAMES))
+        kinds = {KIND_NAMES[c]: int(n) for c, n in enumerate(counts) if n}
+        body = ", ".join(f"{n} {k}" for k, n in sorted(kinds.items()))
+        return f"step {self.step} ({self.op} {self.array}): {body}"
+
+
+def abstract_step(step: "KernelStep", w: int, index: int = -1) -> StepAbstract:
+    """Abstract one kernel step, all warps in one columnar pass.
+
+    The concrete per-warp access set (active lanes, CRCW-merged) is
+    classified as ``empty`` / ``row-local`` / ``coset`` / ``top`` —
+    see :class:`WarpAbstract`.  Pure structure: no mapping, no draw.
+
+    One sort per step does the work of a per-warp ``unique``: each
+    warp's ``row*w + col`` keys are sorted along the lane axis, with
+    inactive lanes keyed past every real address, so first occurrences
+    are the merged address set, grouped by warp, then row, then
+    column.  A warp is a coset warp when it touches several rows and
+    every row's sorted columns step by one stride ``k_r`` with
+    ``k_r * size == w`` (a full coset of ``k_r*Z_w``; one column is
+    the ``k_r = w`` coset), the same ``k_r`` in every row.
+    """
+    sentinel = w * w
+    keys = step.ii.reshape(-1, w) * w + step.jj.reshape(-1, w)
+    n_warps = keys.shape[0]
+    if step.mask is not None:
+        np.putmask(keys, ~step.mask.reshape(n_warps, w), sentinel)
+    keys.sort(axis=1)
+    first = np.empty(keys.shape, dtype=bool)
+    first[:, 0] = True
+    np.not_equal(keys[:, 1:], keys[:, :-1], out=first[:, 1:])
+    first &= keys != sentinel
+    n_addrs = np.count_nonzero(first, axis=1)
+    warp = np.repeat(np.arange(n_warps, dtype=np.int64), n_addrs)
+    merged = keys[first]
+    rows = merged // w
+    cols = merged - rows * w
+    seen = np.zeros(n_warps * w, dtype=bool)
+    seen[warp * w + cols] = True
+    n_cols = np.count_nonzero(seen.reshape(n_warps, w), axis=1)
+
+    # (warp, row) groups are runs of the merged order.
+    n = merged.size
+    new_group = np.ones(n, dtype=bool)
+    group_key = warp * w + rows
+    np.not_equal(group_key[1:], group_key[:-1], out=new_group[1:])
+    starts = np.flatnonzero(new_group)
+    sizes = np.diff(starts, append=n)
+    group_warp = warp[starts]
+    n_rows = np.bincount(group_warp, minlength=n_warps)
+
+    # Per-group stride: the gap between its first two columns (``w``
+    # for a single column); the group is a full coset when every gap
+    # equals it and ``stride * size == w``.
+    first_cols = cols[starts]
+    strides = np.full(starts.size, w, dtype=np.int64)
+    multi = sizes > 1
+    strides[multi] = cols[starts[multi] + 1] - first_cols[multi]
+    off_stride = np.zeros(n, dtype=bool)
+    np.not_equal(
+        np.diff(cols), np.repeat(strides, sizes)[1:], out=off_stride[1:]
+    )
+    off_stride &= ~new_group
+    group_ok = ~np.logical_or.reduceat(off_stride, starts) & (
+        strides * sizes == w
+    )
+
+    # Per-warp verdicts: a warp's groups are contiguous.
+    active = np.flatnonzero(n_rows)
+    kind = np.full(n_warps, _EMPTY, dtype=np.int64)
+    k = np.zeros(n_warps, dtype=np.int64)
+    if active.size:
+        firsts = np.flatnonzero(np.diff(group_warp, prepend=-1))
+        k_min = np.minimum.reduceat(strides, firsts)
+        coset = (
+            np.logical_and.reduceat(group_ok, firsts)
+            & (k_min == np.maximum.reduceat(strides, firsts))
+        )
+        multi_row = n_rows[active] > 1
+        kind[active] = np.where(
+            multi_row, np.where(coset, _COSET, _TOP), _ROW_LOCAL
+        )
+        is_coset = multi_row & coset
+        k[active[is_coset]] = k_min[is_coset]
+    in_coset = kind[group_warp] == _COSET
+    coset_bounds = np.zeros(n_warps + 1, dtype=np.int64)
+    np.cumsum(np.where(kind == _COSET, n_rows, 0), out=coset_bounds[1:])
     return StepAbstract(
         step=index,
         op=step.op,
         array=step.array,
         w=w,
-        warps=tuple(warps),
+        kind=kind,
+        n_rows=n_rows,
+        n_cols=n_cols,
+        n_addrs=n_addrs,
+        k=k,
+        coset_rows=rows[starts[in_coset]],
+        coset_offsets=first_cols[in_coset] % strides[in_coset],
+        coset_bounds=coset_bounds,
     )
 
 
@@ -509,27 +566,27 @@ def step_recipe(abstract: StepAbstract) -> Optional[CosetRecipe]:
     """
     if not abstract.closed:
         return None
-    n_warps = len(abstract.warps)
-    base = np.zeros(n_warps, dtype=np.int64)
-    by_shape: dict[tuple[int, int], list[WarpAbstract]] = {}
-    for wa in abstract.warps:
-        if wa.kind == KIND_ROW_LOCAL:
-            base[wa.warp] = 1
-        elif wa.kind == KIND_COSET:
-            assert wa.rows is not None
-            by_shape.setdefault((wa.k, wa.rows.size), []).append(wa)
+    base = (abstract.kind == _ROW_LOCAL).astype(np.int64)
+    coset = np.flatnonzero(abstract.kind == _COSET)
+    ks = abstract.k[coset]
+    ms = abstract.n_rows[coset]
     groups = []
-    for (k, _m), members in sorted(by_shape.items()):
+    for k, m in sorted(set(zip(ks.tolist(), ms.tolist()))):
+        members = coset[(ks == k) & (ms == m)]
+        flat = abstract.coset_bounds[members][:, None] + np.arange(m)
         groups.append(
             CosetGroup(
                 k=k,
-                warps=np.array([wa.warp for wa in members], dtype=np.int64),
-                rows=np.stack([wa.rows for wa in members]),
-                offsets=np.stack([wa.offsets for wa in members]),
+                warps=members,
+                rows=abstract.coset_rows[flat],
+                offsets=abstract.coset_offsets[flat],
             )
         )
     return CosetRecipe(
-        w=abstract.w, n_warps=n_warps, base=base, groups=tuple(groups)
+        w=abstract.w,
+        n_warps=abstract.n_warps,
+        base=base,
+        groups=tuple(groups),
     )
 
 
@@ -538,32 +595,40 @@ def step_recipe(abstract: StepAbstract) -> Optional[CosetRecipe]:
 # ---------------------------------------------------------------------------
 
 
-def _warp_family_bound(wa: WarpAbstract, family: str, w: int) -> int:
-    """Sound congestion bound of one warp over all draws of a family."""
-    if wa.kind == KIND_EMPTY:
-        return 0
-    if wa.kind == KIND_ROW_LOCAL:
-        return 1
-    if wa.kind == KIND_COSET:
-        assert wa.offsets is not None
-        if family == "RAP":
-            # A permutation puts exactly w/k shift values in each
-            # residue class mod k; rows in one offset class land in
-            # one bank class apiece, so no bank collects more than
-            # min(class size, w/k) from each offset class.
-            cap = w // wa.k
-            counts = np.bincount(wa.offsets % wa.k, minlength=1)
-            return int(min(wa.n_rows, np.minimum(counts, cap).sum()))
-        # RAS (and the zero draw): all touched rows can share a
-        # residue, never more than one request per row per bank.
-        return wa.n_rows
-    # top: distinct columns of one row occupy distinct banks, so each
-    # bank sees at most one request per row; under RAP each (bank,
-    # column) pair is hit by at most one row, so the column count
-    # bounds too.
-    if family == "RAP":
-        return min(wa.n_rows, wa.n_cols)
-    return wa.n_rows
+def _warp_family_bounds(abstract: StepAbstract, family: str) -> np.ndarray:
+    """Sound ``(n_warps,)`` congestion bounds over all draws of a family.
+
+    Distinct columns of one row occupy distinct banks, so no bank sees
+    more than one request per touched row: ``n_rows`` bounds every
+    warp under any draw (0 for empty, 1 for row-local warps), and is
+    the whole RAS bound — all touched rows can share a residue.
+    """
+    bounds = abstract.n_rows.copy()
+    if family != "RAP":
+        return bounds
+    # top: under RAP each (bank, column) pair is hit by at most one
+    # row, so the column count bounds too.
+    top = abstract.kind == _TOP
+    bounds[top] = np.minimum(bounds[top], abstract.n_cols[top])
+    # coset: a permutation puts exactly w/k shift values in each
+    # residue class mod k; rows in one offset class land in one bank
+    # class apiece, so no bank collects more than min(class size, w/k)
+    # from each offset class.
+    w = abstract.w
+    owner = np.repeat(
+        np.arange(abstract.n_warps), np.diff(abstract.coset_bounds)
+    )
+    classes, sizes = np.unique(
+        owner * w + abstract.coset_offsets, return_counts=True
+    )
+    class_warp = classes // w
+    per_warp = np.zeros(abstract.n_warps, dtype=np.int64)
+    np.add.at(
+        per_warp, class_warp, np.minimum(sizes, w // abstract.k[class_warp])
+    )
+    coset = abstract.kind == _COSET
+    bounds[coset] = np.minimum(bounds[coset], per_warp[coset])
+    return bounds
 
 
 def step_bound(abstract: StepAbstract, family: str) -> tuple[int, str]:
@@ -578,18 +643,14 @@ def step_bound(abstract: StepAbstract, family: str) -> tuple[int, str]:
             f"unknown family {family!r}; expected one of {ABSINT_FAMILIES}"
         )
     fam = "RAS" if family == "RAW" else family
-    w = abstract.w
-    bound = 0
-    for wa in abstract.warps:
-        bound = max(bound, _warp_family_bound(wa, fam, w))
-    kinds = {wa.kind for wa in abstract.warps}
+    bound = int(_warp_family_bounds(abstract, fam).max(initial=0))
     shape = "closed (coset/row-local)" if abstract.closed else "structural"
     argument = (
-        f"abstract interpretation over {len(abstract.warps)} warp(s) "
+        f"abstract interpretation over {abstract.n_warps} warp(s) "
         f"({shape} abstraction): per-bank load <= {bound} for every "
         f"{family} draw"
     )
-    if KIND_COSET in kinds and fam == "RAP":
+    if abstract.coset_warps and fam == "RAP":
         argument += (
             " — a permutation puts exactly w/k shifts in each residue "
             "class mod k (coset counting through sigma)"
