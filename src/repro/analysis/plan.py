@@ -41,13 +41,12 @@ steps:
 **residual**
     Everything else (draw-dependent congestion: diagonal-type accesses
     under RAS/RAP, shift-histogram regimes) — handed to the existing
-    batched executor with pre-baked flat-address tables and pre-staged
-    bank keys, exactly as before.
+    batched executor with pre-staged bank keys, exactly as before.
 
 The compiler also pools identical address grids: steps that touch the
 same array through the same ``(ii, jj, mask)`` grids share one staged
-address block (shearsort's 1400+ steps collapse to 2 tables), which is
-where most of the staging cost of certificate-heavy apps goes.
+index table and key block (shearsort's 1400+ steps collapse to 2
+tables), and the executor counts a pooled residual table once per run.
 
 Execution is ``kernel.program_batch(shifts, plan=plan.steps)`` +
 :meth:`~repro.dmm.batched.BatchedDMM.execute_plan` (or the
@@ -490,7 +489,7 @@ def stage_compiled(
     shifts = np.ascontiguousarray(shifts, dtype=np.int64)
     check_family_shifts(plan.family, shifts, kernel.w)
     resolution = resolve_backend(backend)
-    machine = kernel.make_batched_machine(shifts.shape[0], latency)
+    machine = kernel.make_batched_machine(shifts, latency)
     program = kernel.program_batch(shifts, plan=plan)
     return resolution, resolution.backend.stage(machine, program)
 

@@ -1,17 +1,15 @@
 """The ``PlanBackend`` protocol and the shared instruction-loop core.
 
 A *backend* is an execution strategy for staged batched programs (the
-``(T, p)``-blocked :class:`~repro.dmm.batched.BatchedProgram` that
+:class:`~repro.dmm.batched.BatchedProgram` that
 :meth:`repro.gpu.kernel.SharedMemoryKernel.program_batch` produces,
 with or without a compiled plan's static verdicts).  Every backend
 implements the same two-phase contract:
 
 ``stage(machine, program) -> StagedPlan``
-    One-time preparation: validate the program against the machine,
-    move address tables / bank keys wherever the backend executes
-    (host arrays for numpy/numba, device arrays for cupy), and compile
-    whatever kernels the backend needs.  Staging may be paid once and
-    the result executed later.
+    One-time preparation: validate the program against the machine
+    and compile whatever kernels the backend needs.  Staging may be
+    paid once and the result executed later.
 
 ``execute(staged) -> BatchedExecutionResult``
     Run the staged program.  The result must be **bit-identical** to
@@ -20,10 +18,13 @@ implements the same two-phase contract:
     in turn is pinned to the scalar machine.  A backend is a
     wall-clock transform, never a semantic one.
 
-:class:`InstructionLoopBackend` factors the loop every host-side
-backend shares — the statically-resolved closed form, the residual
-congestion count, the timing arithmetic — so a subclass only replaces
-the two hot primitives (congestion counting and data movement).
+:class:`InstructionLoopBackend` is the one loop every backend shares:
+the statically-resolved closed form, the residual congestion count,
+the timing arithmetic, and the data movement.  Data moves once per
+instruction on the memory's logical image, because the value flow is
+the same under every draw (see :mod:`repro.dmm.batched`); only
+congestion carries a trial axis, so :meth:`_congestions` is the one
+primitive a subclass replaces.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover
         BatchedInstruction,
         BatchedProgram,
     )
+    from repro.dmm.memory import BatchedMemory
 
 __all__ = [
     "BackendUnavailable",
@@ -70,7 +72,7 @@ class StagedPlan:
     program:
         The staged instruction blocks.
     state:
-        Backend-private preparation (compiled kernels, device arrays);
+        Backend-private preparation (compiled kernels);
         ``None`` for backends that execute the program in place.
     """
 
@@ -84,11 +86,11 @@ class StagedPlan:
 class PlanBackend(Protocol):
     """Execution backend for staged batched programs."""
 
-    #: registry name (``"numpy"``, ``"numba"``, ``"cupy"``, ...).
+    #: registry name (``"numpy"``, ``"numba"``, ...).
     name: str
 
     def available(self) -> bool:
-        """Can this backend execute here (deps importable, device up)?"""
+        """Can this backend execute here (deps importable)?"""
 
     def unavailable_reason(self) -> Optional[str]:
         """Why :meth:`available` is False (``None`` when available)."""
@@ -101,21 +103,20 @@ class PlanBackend(Protocol):
 
 
 class InstructionLoopBackend:
-    """Shared host-side instruction loop (numpy reference semantics).
-
-    The loop is exactly :meth:`repro.dmm.batched.BatchedDMM.execute_plan`'s:
+    """The shared host-side instruction loop (numpy reference semantics).
 
     * a statically *resolved* instruction (plan-certified constant
       per-warp congestion, empty dynamic-warp set) settles its
-      congestion matrix and completion time in closed form and only
-      moves data;
-    * every other instruction counts congestion (planned matrix >
-      pre-staged bank keys > raw addresses) and runs the vectorized
-      timing arithmetic.
+      congestion matrix and completion time in closed form;
+    * every other instruction counts congestion (planned matrix, or
+      static congestions plus pre-staged bank keys, counted once per
+      plan-pooled table) and runs the vectorized timing arithmetic;
+    * every instruction then moves its ``(p,)`` lanes on the logical
+      image: one gather or one CRCW last-lane-wins scatter.
 
-    Subclasses override :meth:`_congestions` and :meth:`_move_data` to
-    swap in compiled kernels; the loop structure — and therefore the
-    exactness contract — stays shared.
+    Subclasses override :meth:`_congestions` to swap in compiled
+    kernels; the loop structure — and therefore the exactness
+    contract — stays shared.
     """
 
     name = "abstract"
@@ -153,12 +154,14 @@ class InstructionLoopBackend:
         machine = staged.machine
         registers: dict[str, np.ndarray] = {}
         time_units = np.zeros(machine.trials, dtype=np.int64)
-        result = BatchedExecutionResult(
-            time_units=time_units, registers=registers, memory=machine.memory
-        )
+        traces: list[BatchedInstructionTrace] = []
+        # Plan-pooled steps share one staged key block (same array, grids
+        # and mask), so their congestion is counted once per run.
+        counted: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
         for instr in staged.program:
             static = instr.static_congestions
             dyn = instr.dynamic_warps
+            pooled = (id(instr.bank_keys), id(static), id(dyn))
             if static is not None and dyn is not None and dyn.size == 0:
                 # Statically resolved: the certified constant vector,
                 # and StageSchedule's closed form on its total.
@@ -168,37 +171,73 @@ class InstructionLoopBackend:
                 total = int(static.sum())
                 per_trial = total + machine.latency - 1 if total > 0 else 0
                 times = np.full(machine.trials, per_trial, dtype=np.int64)
+            elif instr.bank_keys is not None and pooled in counted:
+                cong, times = counted[pooled]
             else:
                 cong = self._congestions(machine, instr, staged)
                 times = batch_completion_times(
                     cong.sum(axis=1), machine.latency
                 )
-            self._move_data(machine, instr, registers, staged)
-            result.traces.append(
+                if instr.bank_keys is not None:
+                    counted[pooled] = cong, times
+            _move_data(machine.memory, instr, registers)
+            traces.append(
                 BatchedInstructionTrace(
                     op=instr.op, congestions=cong, time_units=times
                 )
             )
             time_units += times
-        result.time_units = time_units
-        return result
+        shape = (machine.trials, staged.program.p)
+        return BatchedExecutionResult(
+            time_units=time_units,
+            traces=traces,
+            registers={
+                name: np.broadcast_to(reg, shape)
+                for name, reg in registers.items()
+            },
+            memory=machine.memory,
+        )
 
-    # -- the two hot primitives subclasses replace -----------------------
     def _congestions(
         self,
         machine: "BatchedDMM",
         instr: "BatchedInstruction",
         staged: StagedPlan,
     ) -> np.ndarray:
+        """Per-trial, per-warp congestion of one non-resolved instruction."""
         from repro.dmm.batched import instruction_congestions
 
         return instruction_congestions(instr, machine.w, machine.trials)
 
-    def _move_data(
-        self,
-        machine: "BatchedDMM",
-        instr: "BatchedInstruction",
-        registers: dict[str, np.ndarray],
-        staged: StagedPlan,
-    ) -> None:
-        machine._move_data(instr, registers)
+
+def _move_data(
+    memory: "BatchedMemory",
+    instr: "BatchedInstruction",
+    registers: dict[str, np.ndarray],
+) -> None:
+    """The data half of one instruction, on the logical image.
+
+    Masked lanes address the scratch word: a masked read gathers
+    garbage that the mask keeps out of the register, and a masked
+    write lands outside every addressable word, so last-lane-wins
+    resolution among the active lanes is the scalar machine's.
+    """
+    if instr.op == "read":
+        gathered = memory.read_flat(instr.addresses)
+        if instr.mask is None:
+            registers[instr.register] = gathered
+        else:
+            reg = registers.setdefault(
+                instr.register, np.zeros(instr.p, dtype=memory.dtype)
+            )
+            np.copyto(reg, gathered, where=instr.mask)
+    else:
+        if instr.values is not None:
+            source = instr.values
+        elif instr.register in registers:
+            source = registers[instr.register]
+        else:
+            raise KeyError(
+                f"write from register {instr.register!r} before any read into it"
+            )
+        memory.write_flat(instr.addresses, source)

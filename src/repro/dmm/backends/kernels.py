@@ -10,29 +10,13 @@ arrays, written in the numba-compilable subset of python, so that:
   logic bit-identically to the numpy reference even in environments
   where numba is absent.
 
-Semantics notes (the invariants the kernels must reproduce exactly):
-
-* **Congestion over bank keys** (:func:`hist_congestion`): the numpy
-  path sorts each warp row and takes the longest run of equal keys;
-  the longest run of a sorted row equals the maximum multiplicity in
-  the row, so a per-row histogram over the key range ``[0, 2w)`` gives
-  the identical integer without the sort.  Sentinel keys (``>= w``)
-  are unique per lane within a warp, so their counts are 1 and can
-  never win over a real bank's count when any lane is counted.
-* **INACTIVE passthrough**: staged flat indices place inactive lanes
-  at ``t * stride - 1``; at ``t = 0`` the index is ``-1``, and numpy
-  fancy indexing wraps it to the last trial's scratch cell.  Python's
-  negative indexing does the same, so the loops below inherit the
-  passthrough without any masking.
-* **CRCW last-lane-wins**: numpy fancy assignment with duplicate
-  indices keeps the last occurrence; a forward loop over lanes stores
-  in the same order and is therefore identical.
-
-Broadcast inputs are avoided on purpose: every kernel takes arrays
-with concrete (possibly strided, never zero-stride) layouts, with
-``*_row`` variants for per-``(p,)`` values and masks shared by all
-trials, because zero-stride broadcast views are outside the subset
-numba compiles reliably.
+**Congestion over bank keys** (:func:`hist_congestion`): the numpy
+path sorts each warp row and takes the longest run of equal keys; the
+longest run of a sorted row equals the maximum multiplicity in the
+row, so a per-row histogram over the key range ``[0, 2w)`` gives the
+identical integer without the sort.  Sentinel keys (``>= w``) are
+unique per lane within a warp, so their counts are 1 and can never win
+over a real bank's count when any lane is counted.
 """
 
 from __future__ import annotations
@@ -65,106 +49,7 @@ def hist_congestion(keys: np.ndarray, w: int, out: np.ndarray) -> None:
         out[r] = best
 
 
-def gather_flat(store: np.ndarray, idx: np.ndarray, out: np.ndarray) -> None:
-    """``out[t, k] = store[idx[t, k]]`` (flat pre-offset indices)."""
-    trials = idx.shape[0]
-    p = idx.shape[1]
-    for t in range(trials):
-        for k in range(p):
-            out[t, k] = store[idx[t, k]]
-
-
-def gather_offset(
-    store: np.ndarray, addr: np.ndarray, stride: int, out: np.ndarray
-) -> None:
-    """Gather per-trial addresses with the trial offset applied here."""
-    trials = addr.shape[0]
-    p = addr.shape[1]
-    for t in range(trials):
-        base = t * stride
-        for k in range(p):
-            out[t, k] = store[addr[t, k] + base]
-
-
-def scatter_flat(store: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
-    """CRCW scatter of per-trial values; duplicates last-lane-wins."""
-    trials = idx.shape[0]
-    p = idx.shape[1]
-    for t in range(trials):
-        for k in range(p):
-            store[idx[t, k]] = values[t, k]
-
-
-def scatter_flat_row(
-    store: np.ndarray, idx: np.ndarray, values: np.ndarray
-) -> None:
-    """CRCW scatter of one shared ``(p,)`` value row; last-lane-wins."""
-    trials = idx.shape[0]
-    p = idx.shape[1]
-    for t in range(trials):
-        for k in range(p):
-            store[idx[t, k]] = values[k]
-
-
-def scatter_offset(
-    store: np.ndarray, addr: np.ndarray, stride: int, values: np.ndarray
-) -> None:
-    """Offset-applying variant of :func:`scatter_flat`."""
-    trials = addr.shape[0]
-    p = addr.shape[1]
-    for t in range(trials):
-        base = t * stride
-        for k in range(p):
-            store[addr[t, k] + base] = values[t, k]
-
-
-def scatter_offset_row(
-    store: np.ndarray, addr: np.ndarray, stride: int, values: np.ndarray
-) -> None:
-    """Offset-applying variant of :func:`scatter_flat_row`."""
-    trials = addr.shape[0]
-    p = addr.shape[1]
-    for t in range(trials):
-        base = t * stride
-        for k in range(p):
-            store[addr[t, k] + base] = values[k]
-
-
-def masked_assign_row(
-    reg: np.ndarray, values: np.ndarray, mask: np.ndarray
-) -> None:
-    """``reg[t, k] = values[t, k]`` where the shared ``(p,)`` mask holds."""
-    trials = reg.shape[0]
-    p = reg.shape[1]
-    for t in range(trials):
-        for k in range(p):
-            if mask[k]:
-                reg[t, k] = values[t, k]
-
-
-def masked_assign_full(
-    reg: np.ndarray, values: np.ndarray, mask: np.ndarray
-) -> None:
-    """``reg[t, k] = values[t, k]`` where the ``(T, p)`` mask holds."""
-    trials = reg.shape[0]
-    p = reg.shape[1]
-    for t in range(trials):
-        for k in range(p):
-            if mask[t, k]:
-                reg[t, k] = values[t, k]
-
-
-KERNEL_NAMES = (
-    "hist_congestion",
-    "gather_flat",
-    "gather_offset",
-    "scatter_flat",
-    "scatter_flat_row",
-    "scatter_offset",
-    "scatter_offset_row",
-    "masked_assign_row",
-    "masked_assign_full",
-)
+KERNEL_NAMES = ("hist_congestion",)
 
 #: the uncompiled kernels, by name (the bare-environment fallback and
 #: the equivalence-test subject).

@@ -1,17 +1,12 @@
-"""The numba backend: ``@njit``-compiled residual-step hot loops.
+"""The numba backend: an ``@njit``-compiled residual congestion count.
 
-The numpy reference path spends its residual time in three places:
-the per-warp bank-key sort behind congestion counting, the fancy
-gather/scatter pair behind data movement, and the masked register
-merge.  This backend swaps each for a fused compiled loop
-(:mod:`repro.dmm.backends.kernels`):
-
-* congestion over pre-baked bank keys becomes a per-warp histogram —
-  O(w) per warp instead of a sort, no temporaries;
-* flat gathers/scatters (INACTIVE lanes pass through as negative
-  indices, exactly as in numpy) run as single loops without the
-  intermediate index arrays;
-* CRCW last-lane-wins falls out of the forward store order.
+Data movement is one ``(p,)`` gather or scatter per instruction on the
+logical image (see :mod:`repro.dmm.batched`), shared by every backend.
+What keeps a trial axis is congestion: the numpy path sorts each
+dynamic warp's bank keys and takes the longest run.  This backend
+replaces that with a per-warp histogram
+(:func:`~repro.dmm.backends.kernels.hist_congestion`) — O(w) per warp
+instead of a sort, no temporaries.
 
 numba is imported lazily, only when the backend is probed or staged;
 in environments without it the backend reports unavailable and the
@@ -84,91 +79,25 @@ class NumbaBackend(InstructionLoopBackend):
             self._kernels = load_kernels(jit=True)
         return self._kernels
 
-    # -- hot primitives ---------------------------------------------------
     def _congestions(
         self,
         machine: "BatchedDMM",
         instr: "BatchedInstruction",
         staged: StagedPlan,
     ) -> np.ndarray:
-        if instr.planned_congestions is not None:
-            return instr.planned_congestions
-        w, trials = machine.w, machine.trials
-        static = instr.static_congestions
-        if static is not None:
-            kernels: Kernels = staged.state
-            n_warps = instr.p // w
-            cong = np.empty((trials, n_warps), dtype=np.int64)
-            cong[:] = static
-            dyn = instr.dynamic_warps
-            if dyn is not None and dyn.size:
-                assert instr.bank_keys is not None
-                keys = instr.bank_keys.reshape(-1, w)
-                runs = np.empty(keys.shape[0], dtype=np.int64)
-                kernels["hist_congestion"](keys, w, runs)
-                cong[:, dyn] = runs.reshape(trials, dyn.size)
-            return cong
-        # Raw-address fallback (hand-built batches): the reference
-        # count is already one vectorized call; nothing to compile.
         from repro.dmm.batched import instruction_congestions
 
-        return instruction_congestions(instr, w, trials)
-
-    def _move_data(
-        self,
-        machine: "BatchedDMM",
-        instr: "BatchedInstruction",
-        registers: dict[str, np.ndarray],
-        staged: StagedPlan,
-    ) -> None:
+        w, trials = machine.w, machine.trials
+        dyn = instr.dynamic_warps
+        if instr.planned_congestions is not None or dyn is None or not dyn.size:
+            # Nothing to count: the reference serves (or refuses) it.
+            return instruction_congestions(instr, w, trials)
+        assert instr.static_congestions is not None and instr.bank_keys is not None
         kernels: Kernels = staged.state
-        memory = machine.memory
-        addresses = instr.addresses
-        flat = instr.flat_stride is not None
-        if flat and instr.flat_stride != memory.stride:
-            raise ValueError(
-                f"instruction staged for memory stride {instr.flat_stride}, "
-                f"machine has {memory.stride}"
-            )
-        store = memory.flat_store
-        mask = instr.mask
-        if instr.op == "read":
-            gathered = np.empty(addresses.shape, dtype=memory.dtype)
-            if flat:
-                kernels["gather_flat"](store, addresses, gathered)
-            else:
-                kernels["gather_offset"](store, addresses, memory.stride, gathered)
-            if mask is None:
-                registers[instr.register] = gathered
-            else:
-                reg = registers.setdefault(
-                    instr.register,
-                    np.zeros((machine.trials, instr.p), dtype=memory.dtype),
-                )
-                if mask.ndim == 1:
-                    kernels["masked_assign_row"](reg, gathered, mask)
-                else:
-                    kernels["masked_assign_full"](reg, gathered, mask)
-        else:
-            if instr.values is not None:
-                source = instr.values
-            else:
-                if instr.register not in registers:
-                    raise KeyError(
-                        f"write from register {instr.register!r} before any read into it"
-                    )
-                source = registers[instr.register]
-            if source.ndim == 1:
-                if flat:
-                    kernels["scatter_flat_row"](store, addresses, source)
-                else:
-                    kernels["scatter_offset_row"](
-                        store, addresses, memory.stride, source
-                    )
-            else:
-                if flat:
-                    kernels["scatter_flat"](store, addresses, source)
-                else:
-                    kernels["scatter_offset"](
-                        store, addresses, memory.stride, source
-                    )
+        cong = np.empty((trials, instr.p // w), dtype=np.int64)
+        cong[:] = instr.static_congestions
+        keys = instr.bank_keys.reshape(-1, w)
+        runs = np.empty(keys.shape[0], dtype=np.int64)
+        kernels["hist_congestion"](keys, w, runs)
+        cong[:, dyn] = runs.reshape(trials, dyn.size)
+        return cong

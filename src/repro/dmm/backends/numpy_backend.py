@@ -2,15 +2,13 @@
 
 This *is* the semantics: the instruction loop of
 :class:`~repro.dmm.backends.base.InstructionLoopBackend` with the
-vectorized numpy primitives the batched executor has always used —
-:func:`~repro.dmm.batched.instruction_congestions` for counting and
-:meth:`~repro.dmm.batched.BatchedDMM._move_data` for gathers /
-CRCW-last-wins scatters.  Every other backend is pinned to this one
-(and this one to the scalar machine) by the bit-identity property
-tests in ``tests/test_backends.py`` / ``tests/test_plan.py``.
-
-:meth:`repro.dmm.batched.BatchedDMM.execute_plan` delegates here, so
-existing callers observe zero behavior change from the refactor.
+vectorized numpy congestion count
+:func:`~repro.dmm.batched.instruction_congestions`.  Every other
+backend is pinned to this one (and this one to the scalar machine) by
+the bit-identity tests in ``tests/test_backends.py`` /
+``tests/test_plan.py``.  :meth:`repro.dmm.batched.BatchedDMM.run` and
+:meth:`~repro.dmm.batched.BatchedDMM.execute_plan` both run here by
+default.
 """
 
 from __future__ import annotations

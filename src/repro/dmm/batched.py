@@ -4,34 +4,38 @@ Estimating an app's expected running time under RAS/RAP (Section V)
 means executing the *same* access skeleton under many independent
 shift draws.  The scalar :class:`~repro.dmm.machine.DiscreteMemoryMachine`
 pays the full build-compile-execute pipeline per draw; this module
-executes ``T`` draws simultaneously by carrying a leading trial axis
-through every array:
+executes ``T`` draws at once.
 
-* addresses are staged per instruction as ``(T, p)`` blocks,
-* per-instruction congestion is one :func:`~repro.core.congestion.congestion_batch`
-  call over all ``T x warps`` rows (or one sort over pre-staged bank
-  keys when the staging layer could separate banks from addresses —
-  see :meth:`repro.gpu.kernel.SharedMemoryKernel.program_batch`),
-* registers are ``(T, p)`` blocks and memory is a
-  :class:`~repro.dmm.memory.BatchedMemory` of ``T`` images,
+Every shifted-row draw rotates each matrix row, so it is a bijection on
+each array's region (paper Section III); warp dispatch depends only on
+lane activity, and CRCW writes resolve by lane order.  The *logical*
+value flow of a skeleton is therefore the same under every draw, and
+only bank keys, congestion and timing depend on it.  The executor
+splits along that line:
+
+* data moves once: every instruction carries one ``(p,)`` table of
+  logical word indices, registers are ``(p,)`` arrays, and memory is a
+  :class:`~repro.dmm.memory.BatchedMemory` holding one logical image
+  (masked lanes point at its scratch word);
+* congestion keeps the trial axis: per instruction it is a
+  ``(T, n_warps)`` matrix — a plan-certified constant, the plan's
+  evaluated closed form, or one sort over bank keys pre-staged by
+  :meth:`repro.gpu.kernel.SharedMemoryKernel.program_batch`;
 * :class:`~repro.dmm.mmu.StageSchedule` timing arithmetic runs as
   ``(T,)`` vector ops (:func:`~repro.dmm.mmu.batch_completion_times`).
 
 The contract is exactness, not approximation: for every trial ``t``,
-per-step congestions, total time units, final memory, and final
-registers equal what the scalar machine produces for trial ``t``'s
-mapping (``tests/test_batched_dmm.py`` pins this for every builtin app
-under RAW, RAS, and RAP).  Inactive lanes are redirected to a per-trial
-scratch cell rather than compressed away, which keeps every memory
-operation a single flat gather/scatter; CRCW last-lane-wins write
-resolution survives because the flat row-major order preserves each
-trial's lane order.
+per-step congestions, total time units, final memory (``memory.trial(t)``,
+the logical image permuted by draw ``t``), and final registers equal
+what the scalar machine produces for trial ``t``'s mapping
+(``tests/test_batched_dmm.py`` pins this for every builtin app under
+RAW, RAS, and RAP, and on generated kernels).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterator, Optional, Union
 
 import numpy as np
 import numpy.typing as npt
@@ -39,10 +43,9 @@ import numpy.typing as npt
 if TYPE_CHECKING:  # pragma: no cover
     from repro.dmm.backends import PlanBackend
 
-from repro.core.congestion import congestion_batch, max_run_lengths
+from repro.core.congestion import max_run_lengths
 from repro.dmm.memory import BatchedMemory
-from repro.dmm.mmu import batch_completion_times
-from repro.dmm.trace import INACTIVE, MemoryProgram
+from repro.dmm.trace import INACTIVE
 from repro.util.validation import check_latency, check_positive_int
 
 __all__ = [
@@ -51,7 +54,6 @@ __all__ = [
     "BatchedInstructionTrace",
     "BatchedExecutionResult",
     "BatchedDMM",
-    "stack_programs",
     "warp_congestion_block",
     "instruction_congestions",
 ]
@@ -81,56 +83,61 @@ def instruction_congestions(
     """Per-trial, per-warp congestion of one staged instruction.
 
     Preference order: ``planned_congestions`` (the plan compiler's
-    exact per-trial matrix, already evaluated — absint coset steps
-    stage this and nothing else, so it **must** win over the address
-    fallback, whose flat pre-baked addresses carry per-trial offsets
-    that skew ``addr % w``), then the pre-staged fast path (static
-    congestions + bank keys), then the inactive-aware address count.
+    exact per-trial matrix, already evaluated), then the pre-staged
+    static congestions plus a bank-key count over the dynamic warps.
+    An instruction carrying neither was not staged by
+    :meth:`repro.gpu.kernel.SharedMemoryKernel.program_batch`; its
+    logical addresses say nothing about banks, so it is refused.
     Shape ``(trials, n_warps)``.
     """
     if instr.planned_congestions is not None:
         return instr.planned_congestions
-    n_warps = instr.p // w
-    if instr.static_congestions is not None:
-        cong = np.empty((trials, n_warps), dtype=np.int64)
-        cong[:] = instr.static_congestions
-        dyn = instr.dynamic_warps
-        if dyn.size:
-            cong[:, dyn] = warp_congestion_block(instr.bank_keys, w).reshape(
-                trials, dyn.size
-            )
-        return cong
-    rows = instr.addresses.reshape(-1, w)
-    cong = congestion_batch(rows, w, inactive=INACTIVE)
-    return cong.reshape(trials, n_warps)
+    if instr.static_congestions is None:
+        raise ValueError(
+            "instruction carries no staged congestion (planned matrix or "
+            "static congestions plus bank keys)"
+        )
+    cong = np.empty((trials, instr.p // w), dtype=np.int64)
+    cong[:] = instr.static_congestions
+    dyn = instr.dynamic_warps
+    if dyn is not None and dyn.size:
+        assert instr.bank_keys is not None
+        cong[:, dyn] = warp_congestion_block(instr.bank_keys, w).reshape(
+            trials, dyn.size
+        )
+    return cong
 
 
 @dataclass
 class BatchedInstruction:
-    """One SIMD memory instruction staged across ``T`` trials.
+    """One SIMD memory instruction staged across ``T`` draws.
+
+    Data fields are shared by every draw; congestion fields carry the
+    trial axis.
 
     Attributes
     ----------
     op:
         ``"read"`` or ``"write"``.
     addresses:
-        Shape ``(T, p)`` integer array; row ``t`` is trial ``t``'s
-        per-thread addresses (:data:`~repro.dmm.trace.INACTIVE` for
-        lanes that sit the instruction out).
+        Shape ``(p,)`` integer array of *logical* word indices
+        (``base + i*w + j`` for element ``(i, j)`` of the array at
+        ``base``), shared by every trial.  Lanes that sit the
+        instruction out hold the memory's scratch index (``size``, as
+        staged) or :data:`~repro.dmm.trace.INACTIVE` (``-1``), which
+        names the same scratch word.
     register:
         Per-thread register read into / written from.
     values:
-        Optional immediate values for a write: shape ``(p,)`` (shared
-        by every trial, the common case for compiled skeletons) or
-        ``(T, p)``.
+        Optional ``(p,)`` immediate values for a write.
     static_congestions:
         Optional pre-resolved congestion per warp, shape ``(n_warps,)``:
-        the trial-independent part of the fast path.  A warp whose
-        active lanes all sit in one matrix row of a shifted-row mapping
-        has congestion exactly 1 for *every* shift draw (distinct
-        columns of one row land in distinct banks), and a warp with no
-        active lane has congestion 0; only the remaining warps need
-        per-trial counting.
+        the trial-independent part of the count.  A warp whose active
+        lanes all sit in one matrix row of a shifted-row mapping has
+        congestion exactly 1 for *every* shift draw (distinct columns
+        of one row land in distinct banks), and a warp with no active
+        lane has congestion 0; only the remaining warps need per-trial
+        counting.
     dynamic_warps:
         With ``static_congestions``: indices of the warps whose
         congestion is shift-dependent, in warp order.
@@ -139,11 +146,15 @@ class BatchedInstruction:
         dynamic warps only, shape ``(T, len(dynamic_warps) * w)``: each
         lane's bank in ``[0, w)``, or a per-lane sentinel in ``[w, 2w)``
         for lanes that issue no countable request (inactive, or
-        statically merged duplicates).  The executor then skips the
-        address sort entirely — one bank sort and a run-length pass
-        give every trial's dynamic-warp congestion.  Produced by
+        statically merged duplicates).  One bank sort and a run-length
+        pass give every trial's dynamic-warp congestion.  Produced by
         :meth:`repro.gpu.kernel.SharedMemoryKernel.program_batch`,
         which knows the duplicate structure statically.
+    planned_congestions:
+        Optional fully evaluated congestion matrix, shape
+        ``(T, n_warps)``: the plan compiler's exact closed form of the
+        draw (absint coset steps).  When set it supersedes every other
+        congestion source.
     """
 
     op: str
@@ -153,72 +164,43 @@ class BatchedInstruction:
     static_congestions: Optional[np.ndarray] = None
     dynamic_warps: Optional[np.ndarray] = None
     bank_keys: Optional[np.ndarray] = None
-    #: Optional fully evaluated congestion matrix, shape
-    #: ``(T, n_warps)``: the plan compiler's exact closed form of the
-    #: draw (absint coset steps).  When set it supersedes every other
-    #: congestion source — such instructions stage no bank keys, and
-    #: their flat pre-baked addresses must never reach the ``% w``
-    #: fallback.
     planned_congestions: Optional[np.ndarray] = None
-    #: When set, ``addresses`` holds *flat store indices* with each
-    #: trial's offset pre-baked (``t * stride + address``; inactive
-    #: lanes at ``t * stride - 1``, a scratch cell).  The executor then
-    #: skips the per-instruction offset add.  Value is the stride the
-    #: staging assumed; the machine refuses a mismatch.
-    flat_stride: Optional[int] = None
-    #: ``None`` (all lanes active), a ``(p,)`` mask shared by every
-    #: trial, or a ``(T, p)`` per-trial mask.  Derived from
-    #: ``addresses``; consumers never pass it.
+    #: ``None`` (all lanes active) or the ``(p,)`` active-lane mask.
+    #: Derived from ``addresses``; consumers never pass it.
     mask: Optional[np.ndarray] = field(default=None, init=False)
-    #: Largest real address staged (across trials), for one bounds
-    #: check per run instead of one per access.
+    #: Largest real address staged, for one bounds check per run
+    #: instead of one per access.
     max_address: int = field(default=INACTIVE, init=False)
 
     def __post_init__(self) -> None:
         if self.op not in ("read", "write"):
             raise ValueError(f"op must be 'read' or 'write', got {self.op!r}")
-        addresses = (
-            self.addresses
-            if isinstance(self.addresses, np.ndarray)
-            else np.asarray(self.addresses)
-        )
+        addresses = np.asarray(self.addresses)
         if not np.issubdtype(addresses.dtype, np.integer):
             raise ValueError(
                 f"addresses must be integers, got dtype {addresses.dtype}"
             )
-        if addresses.dtype != np.int64 or not addresses.flags.c_contiguous:
-            # Normalize narrow staging dtypes up front: at w = 1024 a
-            # flat index reaches trials * (2 w^2 + 1), which wraps
-            # int16/int32 silently once the per-trial offset is baked
-            # in.  One conversion covers layout and width together;
-            # contiguous int64 input (the staging hot path) skips the
-            # copy entirely.
-            addresses = np.ascontiguousarray(addresses, dtype=np.int64)
-        if addresses.ndim != 2:
-            raise ValueError(
-                f"addresses must be (trials, p), got shape {addresses.shape}"
-            )
+        # Normalize narrow staging dtypes up front: at w = 1024 a word
+        # index reaches 2 w^2, which wraps int16 silently.
+        addresses = np.ascontiguousarray(addresses, dtype=np.int64)
+        if addresses.ndim != 1:
+            raise ValueError(f"addresses must be (p,), got shape {addresses.shape}")
         if (addresses < INACTIVE).any():
             raise ValueError(
                 "addresses must be >= 0, or -1 for inactive lanes"
             )
         self.addresses = addresses
         active = addresses != INACTIVE
-        if active.all():
-            self.mask = None
-        elif (active == active[0]).all():
-            self.mask = active[0].copy()
-        else:
-            self.mask = active
+        self.mask = None if active.all() else active
         self.max_address = int(addresses.max(initial=INACTIVE))
         if self.values is not None:
-            values = np.ascontiguousarray(self.values)
             if self.op == "read":
                 raise ValueError("read instructions cannot carry immediate values")
-            if values.shape not in (addresses.shape, addresses.shape[1:]):
+            values = np.ascontiguousarray(self.values)
+            if values.shape != addresses.shape:
                 raise ValueError(
-                    f"values shape {values.shape} must be (p,) or (trials, p) "
-                    f"matching addresses {addresses.shape}"
+                    f"values shape {values.shape} must match addresses "
+                    f"{addresses.shape}"
                 )
             self.values = values
 
@@ -234,25 +216,14 @@ class BatchedInstruction:
         bank_keys: Optional[np.ndarray],
         mask: Optional[np.ndarray],
         max_address: int,
-        flat_stride: Optional[int] = None,
         planned_congestions: Optional[np.ndarray] = None,
     ) -> "BatchedInstruction":
         """Trusted construction for staging layers that guarantee the
-        invariants themselves (correct shapes, INACTIVE exactly at
-        ``~mask``, ``max_address`` a valid upper bound).
-
-        ``__post_init__`` rescans the full ``(T, p)`` address block to
-        derive the mask and maximum; a compiler staging hundreds of
-        instructions already knows both, and on the batched hot path
-        those scans are a measurable fraction of an instruction's
-        execution cost.
+        invariants themselves (int64 ``(p,)`` addresses, masked lanes
+        at the scratch word, ``max_address`` a valid upper bound over
+        the active lanes), skipping the validation scans of
+        ``__post_init__``.
         """
-        if addresses.dtype != np.int64:
-            # Same widening as __post_init__: flat pre-baked indices
-            # overflow narrow dtypes at large w x trials, and the
-            # trusted path must not be the one place that skips the
-            # guard.
-            addresses = addresses.astype(np.int64)
         instr = cls.__new__(cls)
         instr.op = op
         instr.addresses = addresses
@@ -264,42 +235,57 @@ class BatchedInstruction:
         instr.planned_congestions = planned_congestions
         instr.mask = mask
         instr.max_address = max_address
-        instr.flat_stride = flat_stride
         return instr
 
     @property
-    def trials(self) -> int:
-        return int(self.addresses.shape[0])
-
-    @property
     def p(self) -> int:
-        return int(self.addresses.shape[1])
+        return int(self.addresses.shape[0])
 
 
 @dataclass
 class BatchedProgram:
-    """A straight-line instruction sequence staged across ``T`` trials.
+    """A straight-line instruction sequence staged for ``T`` draws.
 
     The batched analogue of :class:`~repro.dmm.trace.MemoryProgram`:
-    same ops, registers, and barrier-between-instructions semantics,
-    with every instruction carrying a ``(T, p)`` address block.
+    same ops, registers, and barrier-between-instructions semantics.
+
+    Attributes
+    ----------
+    p:
+        Thread count.
+    shifts:
+        The ``(T, w)`` shift batch the congestion fields were staged
+        for; the machine's memory must model the same draws.
+    memory_size:
+        Logical words the staging assumed.  Masked lanes address the
+        scratch word ``memory_size``, which on a machine of any other
+        size would alias a real word, so the machine refuses a mismatch.
     """
 
     p: int
-    trials: int
+    shifts: np.ndarray
+    memory_size: int
     instructions: list[BatchedInstruction] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         check_positive_int(self.p, "p")
-        check_positive_int(self.trials, "trials")
+        check_positive_int(self.memory_size, "memory_size")
+        self.shifts = np.ascontiguousarray(self.shifts, dtype=np.int64)
+        if self.shifts.ndim != 2 or self.shifts.shape[0] < 1:
+            raise ValueError(
+                f"shifts must be (trials, w), got shape {self.shifts.shape}"
+            )
         for instr in self.instructions:
             self._check(instr)
 
+    @property
+    def trials(self) -> int:
+        return int(self.shifts.shape[0])
+
     def _check(self, instr: BatchedInstruction) -> None:
-        if instr.p != self.p or instr.trials != self.trials:
+        if instr.p != self.p:
             raise ValueError(
-                f"instruction block is {instr.trials}x{instr.p}, program "
-                f"is {self.trials}x{self.p}"
+                f"instruction has {instr.p} lanes, program has {self.p}"
             )
 
     def append(self, instr: BatchedInstruction) -> "BatchedProgram":
@@ -319,48 +305,6 @@ class BatchedProgram:
 
     def __iter__(self) -> Iterator[BatchedInstruction]:
         return iter(self.instructions)
-
-
-def stack_programs(programs: Sequence[MemoryProgram]) -> BatchedProgram:
-    """Stack ``T`` structurally identical scalar programs into one batch.
-
-    The programs must agree on thread count, instruction count, and
-    per-instruction ``(op, register, has-values)`` — the usual case of
-    one skeleton compiled under ``T`` different mappings.  Addresses
-    (and immediate values) may differ freely per trial.
-    """
-    if not programs:
-        raise ValueError("need at least one program to stack")
-    first = programs[0]
-    for other in programs[1:]:
-        if other.p != first.p or len(other) != len(first):
-            raise ValueError(
-                "programs must share thread and instruction counts to stack"
-            )
-    batched = BatchedProgram(p=first.p, trials=len(programs))
-    for idx in range(len(first)):
-        column = [prog.instructions[idx] for prog in programs]
-        ops = {instr.op for instr in column}
-        regs = {instr.register for instr in column}
-        has_values = {instr.values is not None for instr in column}
-        if len(ops) > 1 or len(regs) > 1 or len(has_values) > 1:
-            raise ValueError(
-                f"instruction {idx} differs structurally across programs"
-            )
-        values = (
-            np.stack([instr.values for instr in column])
-            if column[0].values is not None
-            else None
-        )
-        batched.append(
-            BatchedInstruction(
-                op=column[0].op,
-                addresses=np.stack([instr.addresses for instr in column]),
-                register=column[0].register,
-                values=values,
-            )
-        )
-    return batched
 
 
 @dataclass(frozen=True)
@@ -404,10 +348,12 @@ class BatchedExecutionResult:
     traces:
         One :class:`BatchedInstructionTrace` per instruction.
     registers:
-        Final register files, ``registers[name]`` of shape ``(T, p)``.
+        Final register files, ``registers[name]`` of shape ``(T, p)``:
+        read-only broadcast views of the one ``(p,)`` register file
+        every draw shares.
     memory:
         The machine's :class:`~repro.dmm.memory.BatchedMemory` after
-        the run (``memory.trial(t)`` extracts one image).
+        the run (``memory.trial(t)`` builds one trial's image).
     """
 
     time_units: np.ndarray
@@ -421,7 +367,7 @@ class BatchedExecutionResult:
 
 
 class BatchedDMM:
-    """A DMM executing ``trials`` independent runs of one skeleton.
+    """A DMM executing one skeleton under ``T`` shift draws.
 
     Parameters
     ----------
@@ -430,9 +376,9 @@ class BatchedDMM:
     latency:
         Memory pipeline depth ``l``.
     memory_size:
-        Addressable words of shared memory *per trial*.
-    trials:
-        Number of independent trials ``T``.
+        Addressable words of shared memory (a whole number of rows).
+    shifts:
+        The ``(T, w)`` shift batch, one draw per trial.
     dtype:
         Backing-store dtype (default float64, as in the scalar machine).
     """
@@ -442,24 +388,25 @@ class BatchedDMM:
         w: int,
         latency: int,
         memory_size: int,
-        trials: int,
+        shifts: np.ndarray,
         dtype: "npt.DTypeLike" = np.float64,
     ) -> None:
         self.w = check_positive_int(w, "w")
         self.latency = check_latency(latency)
-        self.trials = check_positive_int(trials, "trials")
-        self.memory = BatchedMemory(w, memory_size, trials, dtype=dtype)
+        self.memory = BatchedMemory(w, memory_size, shifts, dtype=dtype)
 
-    def load(self, base: int, values: np.ndarray) -> None:
-        """Pre-load values (broadcast over trials) starting at ``base``."""
-        self.memory.fill_word(base, np.asarray(values))
+    @property
+    def trials(self) -> int:
+        """Number of draws ``T``."""
+        return self.memory.trials
 
-    # -- execution -------------------------------------------------------
     def _check_program(self, program: BatchedProgram) -> None:
         if program.trials != self.trials:
             raise ValueError(
                 f"program stages {program.trials} trials, machine has {self.trials}"
             )
+        if not np.array_equal(program.shifts, self.memory.shifts):
+            raise ValueError("program was staged for different shift draws")
         if program.p % self.w != 0:
             raise ValueError(
                 f"p={program.p} is not a multiple of warp width {self.w}"
@@ -469,48 +416,43 @@ class BatchedDMM:
             raise IndexError(
                 f"program touches address {top}, memory size {self.memory.size}"
             )
+        if program.memory_size != self.memory.size:
+            raise ValueError(
+                f"program staged for memory size {program.memory_size}, "
+                f"machine has {self.memory.size}"
+            )
 
     def run(self, program: BatchedProgram) -> BatchedExecutionResult:
-        """Execute the batch; returns per-trial data and exact timing."""
-        self._check_program(program)
-        registers: dict[str, np.ndarray] = {}
-        time_units = np.zeros(self.trials, dtype=np.int64)
-        result = BatchedExecutionResult(
-            time_units=time_units, registers=registers, memory=self.memory
-        )
-        for instr in program:
-            trace = self._execute(instr, registers)
-            result.traces.append(trace)
-            time_units += trace.time_units
-        result.time_units = time_units
-        return result
+        """Execute the batch; returns per-trial data and exact timing.
+
+        The numpy reference loop, i.e. :meth:`execute_plan` with the
+        default backend: a program staged without a plan simply has no
+        resolved steps.
+        """
+        return self.execute_plan(program)
 
     def execute_plan(
         self,
         program: BatchedProgram,
         backend: Union[str, "PlanBackend", None] = None,
     ) -> BatchedExecutionResult:
-        """Execute a plan-staged batch, skipping resolved-step simulation.
+        """Execute a staged batch, skipping resolved-step simulation.
 
         The plan compiler (:func:`repro.analysis.plan.compile_plan`)
         stages statically resolved instructions with an empty
         ``dynamic_warps`` set: their per-warp congestion is a certified
-        constant for every draw of the mapping family, so this path
+        constant for every draw of the mapping family, so the loop
         settles their congestion tuple and completion time in closed
-        form — no bank counting, no key sort, only the data movement
-        (which bit-identity requires).  Absint-resolved instructions
-        carry ``planned_congestions`` (the coset closed form, already
-        evaluated from the shift draws) and take the standard execute
-        path, where :func:`instruction_congestions` serves the planned
-        matrix without touching the addresses.  Residual instructions
-        execute exactly as under :meth:`run`.  The result is
-        indistinguishable from :meth:`run` on the same program; the
-        saving is wall-clock.
+        form — no bank counting, no key sort, only the data movement.
+        Absint-resolved instructions carry ``planned_congestions`` (the
+        coset closed form, already evaluated from the shift draws),
+        which :func:`instruction_congestions` serves without counting.
+        Residual instructions count their pre-staged bank keys.
 
         ``backend`` selects *where* the loop runs: ``None`` keeps the
         numpy reference path, a registered name (``"numba"``,
-        ``"cupy"``, ``"auto"``) or a
-        :class:`~repro.dmm.backends.PlanBackend` instance routes through
+        ``"auto"``) or a :class:`~repro.dmm.backends.PlanBackend`
+        instance routes through
         :func:`repro.dmm.backends.resolve_backend`.  Every backend is
         bit-identical to the reference; the choice only moves
         wall-clock.
@@ -521,62 +463,3 @@ class BatchedDMM:
             "numpy" if backend is None else backend
         ).backend
         return chosen.execute(chosen.stage(self, program))
-
-    def _congestions(self, instr: BatchedInstruction) -> np.ndarray:
-        """Per-trial, per-warp congestion, shape ``(T, n_warps)``."""
-        return instruction_congestions(instr, self.w, self.trials)
-
-    def _execute(
-        self, instr: BatchedInstruction, registers: dict[str, np.ndarray]
-    ) -> BatchedInstructionTrace:
-        cong = self._congestions(instr)
-        times = batch_completion_times(cong.sum(axis=1), self.latency)
-        self._move_data(instr, registers)
-        return BatchedInstructionTrace(
-            op=instr.op, congestions=cong, time_units=times
-        )
-
-    def _move_data(
-        self, instr: BatchedInstruction, registers: dict[str, np.ndarray]
-    ) -> None:
-        """The data half of one instruction: gathers, scatters, registers."""
-        mask = instr.mask
-        # INACTIVE lanes pass straight through: the flat index
-        # t*stride - 1 is always *some* trial's scratch cell (see
-        # BatchedMemory), so no per-trial redirect pass is needed and
-        # active lanes keep their thread order.
-        addresses = instr.addresses
-        flat = instr.flat_stride is not None
-        if flat and instr.flat_stride != self.memory.stride:
-            raise ValueError(
-                f"instruction staged for memory stride {instr.flat_stride}, "
-                f"machine has {self.memory.stride}"
-            )
-        if instr.op == "read":
-            gathered = (
-                self.memory.read_flat(addresses)
-                if flat
-                else self.memory.read(addresses)
-            )
-            if mask is None:
-                registers[instr.register] = gathered
-            else:
-                reg = registers.setdefault(
-                    instr.register,
-                    np.zeros((self.trials, instr.p), dtype=self.memory.dtype),
-                )
-                np.copyto(reg, gathered, where=mask)
-        else:
-            if instr.values is not None:
-                source = instr.values
-            else:
-                if instr.register not in registers:
-                    raise KeyError(
-                        f"write from register {instr.register!r} before any read into it"
-                    )
-                source = registers[instr.register]
-            source = np.broadcast_to(source, addresses.shape)
-            if flat:
-                self.memory.write_flat(addresses, source)
-            else:
-                self.memory.write(addresses, source)

@@ -106,46 +106,50 @@ class BankedMemory:
 
 
 class BatchedMemory:
-    """``trials`` independent banked address spaces with one backing store.
+    """One logical address space observed under ``T`` shifted-row draws.
 
     The batched DMM executor (:mod:`repro.dmm.batched`) runs one
-    program skeleton under many mapping draws at once; each draw needs
-    its own memory image.  The store is one ``(trials, size + 1)``
-    array: trial ``t``'s word ``a`` lives at flat index
-    ``t * (size + 1) + a``, and the extra word per trial is a *scratch
-    cell* that absorbs inactive lanes, so reads and writes never need
-    boolean compression.  The executor passes
-    :data:`~repro.dmm.trace.INACTIVE` (``-1``) addresses straight
-    through: trial ``t``'s flat index ``t * stride - 1`` is trial
-    ``t-1``'s scratch cell (cyclically, trial 0 wraps to the last
-    trial's), which is never an addressable word, so no per-trial
-    redirect pass is needed.  A scratch read returns garbage the caller
-    must mask off; a scratch write lands outside every addressable
-    word, so CRCW last-occurrence-wins resolution among the *active*
-    lanes is preserved exactly (the flat row-major order keeps each
-    trial's lanes in thread order).
+    program skeleton under many mapping draws at once.  Every draw of a
+    shifted-row mapping (RAW, RAS, RAP) rotates each matrix row, so it
+    is a bijection on each array's region, and CRCW resolution goes by
+    lane order; the *logical* contents of memory are therefore the same
+    under every draw.  This class stores them once: a ``(size + 1,)``
+    store indexed by logical word ``R * w + j`` (matrix row ``R``,
+    column ``j``), whose last word ``size`` is a scratch cell that
+    absorbs the lanes an instruction masks off.  A scratch read returns
+    garbage the caller masks away; a scratch write lands outside every
+    addressable word, so last-lane-wins resolution among the active
+    lanes is exactly the scalar machine's.
 
-    Semantics per trial are identical to :class:`BankedMemory`;
-    :meth:`trial` extracts one trial's image for comparison against the
-    scalar machine.
+    Only the physical layout depends on the draw.  ``shifts`` is the
+    ``(T, w)`` shift batch: physical word ``R * w + c`` of trial ``t``
+    holds logical word ``R * w + (c - shifts[t, R mod w]) mod w``.
+    :attr:`store` and :meth:`trial` build those images on request for
+    comparison against the scalar machine.
     """
 
     def __init__(
         self,
         w: int,
         size: int,
-        trials: int,
+        shifts: np.ndarray,
         dtype: "npt.DTypeLike" = np.float64,
         fill: float = 0,
     ) -> None:
         self.w = check_positive_int(w, "w")
         self.size = check_positive_int(size, "size")
-        self.trials = check_positive_int(trials, "trials")
-        self._stride = size + 1
-        self._store = np.full((trials, self._stride), fill, dtype=dtype)
-        #: flat offset of each trial's address 0, shaped to broadcast
-        #: over ``(trials, p)`` address blocks.
-        self.offsets = (np.arange(trials, dtype=np.int64) * self._stride)[:, None]
+        if size % w:
+            raise ValueError(f"size {size} is not a whole number of {w}-word rows")
+        shifts = np.ascontiguousarray(shifts, dtype=np.int64)
+        if shifts.ndim != 2 or shifts.shape[0] < 1 or shifts.shape[1] != w:
+            raise ValueError(f"shifts must be (trials, {w}), got {shifts.shape}")
+        self.shifts = shifts
+        self._store = np.full(size + 1, fill, dtype=dtype)
+
+    @property
+    def trials(self) -> int:
+        """Number of draws ``T``."""
+        return int(self.shifts.shape[0])
 
     @property
     def dtype(self) -> np.dtype:
@@ -153,78 +157,31 @@ class BatchedMemory:
         return self._store.dtype
 
     @property
-    def scratch(self) -> int:
-        """Per-trial index of the scratch cell (== ``size``)."""
-        return self.size
-
-    @property
-    def stride(self) -> int:
-        """Flat words per trial (``size + 1``, including the scratch cell).
-
-        Staging layers that pre-bake per-trial offsets into flat store
-        indices (see :meth:`read_flat`) must agree with this stride.
-        """
-        return self._stride
-
-    @property
     def store(self) -> np.ndarray:
-        """The ``(trials, size)`` addressable words (a view)."""
-        return self._store[:, : self.size]
-
-    @property
-    def flat_store(self) -> np.ndarray:
-        """The raw contiguous flat store including scratch cells (a view).
-
-        Execution backends gather/scatter through this array with
-        pre-offset flat indices; mutating it mutates the memory.
-        Unlike :attr:`store` (a non-contiguous slice), ravelling here
-        never copies.
-        """
-        return self._store.ravel()
+        """The ``(trials, size)`` physical images (a fresh array)."""
+        return self._physical(self.shifts)
 
     def trial(self, t: int) -> np.ndarray:
-        """Copy of trial ``t``'s memory image, shape ``(size,)``."""
-        return self._store[t, : self.size].copy()
+        """Trial ``t``'s physical memory image, shape ``(size,)``."""
+        return self._physical(self.shifts[t : t + 1])[0]
 
-    def read(self, addresses: np.ndarray) -> np.ndarray:
-        """Gather ``(trials, p)`` addresses per trial.
+    def _physical(self, shifts: np.ndarray) -> np.ndarray:
+        w = self.w
+        rows = self.size // w
+        # cols[t, i, c]: logical column found at physical column c of a
+        # row congruent to i mod w under draw t.
+        cols = (np.arange(w, dtype=np.int64) - shifts[:, :, None]) % w
+        cols = cols[:, np.arange(rows) % w, :]
+        grid = self._store[: self.size].reshape(rows, w)
+        return grid[np.arange(rows)[:, None], cols].reshape(shifts.shape[0], -1)
 
-        Addresses may be in ``[0, size)``, ``size`` (own scratch cell),
-        or ``-1`` (resolves to a neighbouring trial's scratch cell);
-        either scratch read returns garbage to be masked off.
-        """
-        return self._store.ravel()[addresses + self.offsets]
+    def read_flat(self, indices: np.ndarray) -> np.ndarray:
+        """Gather logical words; index ``size`` (or ``-1``) is the scratch cell."""
+        return self._store[indices]
 
-    def write(self, addresses: np.ndarray, values: "npt.ArrayLike") -> None:
-        """Scatter per trial; duplicate addresses resolve last-lane-wins.
-
-        Scratch addresses (``size`` or ``-1``) land outside every
-        trial's addressable words and are harmlessly absorbed.
-        """
-        flat = self._store.ravel()
-        flat[addresses + self.offsets] = values
-
-    def read_flat(self, flat_indices: np.ndarray) -> np.ndarray:
-        """Gather pre-offset flat indices (``t * stride + address``).
-
-        The fast path for staged programs: the per-trial offset add is
-        paid once at staging instead of once per executed instruction.
-        """
-        return self._store.ravel()[flat_indices]
-
-    def write_flat(self, flat_indices: np.ndarray, values: "npt.ArrayLike") -> None:
-        """Scatter pre-offset flat indices; duplicates last-lane-wins."""
-        self._store.ravel()[flat_indices] = values
-
-    def fill_word(self, base: int, values: np.ndarray) -> None:
-        """Pre-load ``values`` (broadcast over trials) starting at ``base``."""
-        values = np.asarray(values)
-        count = values.shape[-1]
-        if base < 0 or base + count > self.size:
-            raise IndexError(
-                f"load of {count} words at base {base} exceeds memory size {self.size}"
-            )
-        self._store[:, base : base + count] = values
+    def write_flat(self, indices: np.ndarray, values: "npt.ArrayLike") -> None:
+        """Scatter logical words; duplicates resolve last-lane-wins."""
+        self._store[indices] = values
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

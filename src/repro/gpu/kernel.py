@@ -319,12 +319,16 @@ class SharedMemoryKernel:
         shifts[t])`` — the kernel's own mapping supplies only the array
         bases, which every shifted-row mapping shares.
 
-        Two things are exploited to make the staged program cheap to
-        execute:
+        Every draw is a rotation of each matrix row, so the value flow
+        is the same in every trial: each step stages one ``(p,)`` table
+        of *logical* word indices ``base + i*w + j``, shared by all
+        trials, with masked lanes at the scratch word ``size`` (the
+        machine's memory size).  Only congestion keeps the trial axis,
+        and two things make it cheap:
 
         * the bank of lane ``(i, j)`` is a per-trial table lookup
-          ``(j + shifts[t, i]) mod w``, so all ``T`` address blocks of
-          a step are one fancy gather; and
+          ``(j + shifts[t, i]) mod w``, so all ``T`` bank rows of a step
+          are one fancy gather; and
         * whether two lanes of a warp collide on an *address* depends
           only on their logical indices (``i*w + (j+s) mod w`` is
           injective per trial), so the CRCW duplicate-merge structure
@@ -347,8 +351,12 @@ class SharedMemoryKernel:
           addresses) as a pre-planned ``(T, n_warps)`` congestion
           matrix; and
         * steps sharing a plan ``table`` id (same array, same index
-          grids, same mask) share one staged address block instead of
-          re-gathering it per step.
+          grids, same mask) share one staged index table and key block
+          instead of re-gathering them per step.
+
+        Raises ``ValueError`` unless the kernel's mapping stores each
+        array in exactly ``w*w`` words: that is what makes every draw a
+        row-wise bijection of each array's region.
 
         ``shifts`` must be draws of the plan's family — that contract
         is checked by :meth:`run_plan`, not here.
@@ -360,31 +368,31 @@ class SharedMemoryKernel:
             )
         if ((shifts < 0) | (shifts >= self.w)).any():
             raise ValueError(f"shifts must lie in [0, {self.w})")
-        trials = shifts.shape[0]
         w = self.w
         p = w * w
+        if self.mapping.storage_words != p:
+            # Logical data flow needs every draw to be a row-wise
+            # bijection of each array's w*w region.
+            raise ValueError(
+                f"batched staging needs {p}-word arrays, mapping "
+                f"{self.mapping.name} stores {self.mapping.storage_words}"
+            )
+        trials = shifts.shape[0]
+        size = len(self.arrays) * p
         # Bank values and sentinels both fit comfortably in int16 for
         # any realistic width; the narrow dtype roughly halves the cost
         # of the executor's per-instruction key sort.
         key_dtype = np.int16 if 2 * w <= np.iinfo(np.int16).max else np.int64  # repro: noqa[ADDR001]
-        # One extended lookup table answers both gathers per step:
+        # One extended lookup table answers the bank-key gather per step:
         # column i*w + j holds trial t's bank (j + shifts[t, i]) mod w,
         # column p + lane holds lane's sentinel (same in every trial).
         cols = np.arange(w, dtype=np.int64)
         lane = np.arange(p, dtype=np.int64)
-        sentinel = (w + (lane % w)).astype(key_dtype)
         table = np.empty((trials, 2 * p), dtype=key_dtype)
         table[:, :p] = ((cols[None, None, :] + shifts[:, :, None]) % w).reshape(
             trials, p
         )
-        table[:, p:] = sentinel
-        # Companion table with each trial's flat memory offset baked in
-        # (stride of the machine make_batched_machine builds): gathering
-        # from it yields ready-to-use flat store indices, so the
-        # executor never pays a per-instruction offset add.
-        stride = len(self.arrays) * self.mapping.storage_words + 1
-        flat_table = table.astype(np.int64)
-        flat_table += (np.arange(trials, dtype=np.int64) * stride)[:, None]
+        table[:, p:] = w + (lane % w)
 
         plan_steps = None
         if plan is not None:
@@ -407,15 +415,14 @@ class SharedMemoryKernel:
             Optional[np.ndarray],
             Optional[np.ndarray],
         ]:
-            """Stage one step's address block and congestion machinery."""
+            """Stage one step's logical index table and congestion machinery."""
             iif = step.ii.ravel()
             jjf = step.jj.ravel()
             maskf = None if step.mask is None else step.mask.ravel()
             idx = iif * w + jjf
             if maskf is not None:
-                # Dead lanes may hold arbitrary index values; their
-                # table column is irrelevant (rebased below), but keep
-                # it in range.
+                # Dead lanes may hold arbitrary index values; keep their
+                # table column in range.
                 idx = np.where(maskf, idx, 0)
             planned_congestions = None
             if resolved_congestions is not None:
@@ -430,8 +437,7 @@ class SharedMemoryKernel:
             elif recipe is not None:
                 # Absint-resolved: the coset closed form gives every
                 # trial's per-warp congestion from the shift vectors
-                # alone — no duplicate-merge pass, no bank keys, no
-                # address replay for counting.
+                # alone — no duplicate-merge pass, no bank keys.
                 planned_congestions = recipe.congestions(shifts)
                 static_congestions = None
                 dynamic_warps = None
@@ -476,31 +482,25 @@ class SharedMemoryKernel:
                 # one gather, no fixup pass.
                 key_cols = np.where(drop, p + lane, idx).reshape(n_warps, w)
                 bank_keys = table[:, key_cols[dynamic_warps].ravel()]
-            row_base = self.bases[step.array] + iif * w  # (p,) int64
-            if maskf is None:
-                addresses = flat_table[:, idx]
-                addresses += row_base[None, :]
-                mask_out = None
-            else:
-                # Rebase dead lanes so the single add already lands on
-                # the scratch index t*stride - 1: their table column
-                # yields sentinel[lane] + t*stride, and
-                # -1 - sentinel[lane] cancels the sentinel.
-                addr_idx = np.where(maskf, idx, p + lane)
-                rebase = np.where(maskf, row_base, INACTIVE - sentinel)
-                addresses = flat_table[:, addr_idx]
-                addresses += rebase[None, :]
-                mask_out = maskf
+            # Logical word indices, shared by every trial; dead lanes
+            # address the scratch word just past the last array.
+            addresses = self.bases[step.array] + idx
+            if maskf is not None:
+                addresses = np.where(maskf, addresses, size)
             return (
                 addresses,
-                mask_out,
+                maskf,
                 static_congestions,
                 dynamic_warps,
                 bank_keys,
                 planned_congestions,
             )
 
-        batched = BatchedProgram(p=p, trials=trials)
+        batched = BatchedProgram(p=p, shifts=shifts, memory_size=size)
+        # Host-computed write values stand in as distinct per-lane
+        # sentinels (as in program()); one read-only row serves every step.
+        immediate = np.arange(p, dtype=np.float64)
+        immediate.setflags(write=False)
         staged_cache: dict[int, tuple] = {}
         for step_idx, step in enumerate(self.steps):
             sp = None if plan_steps is None else plan_steps[step_idx]
@@ -512,8 +512,8 @@ class SharedMemoryKernel:
                 )
             if sp is not None and sp.table in staged_cache:
                 # Plan-pooled address table: same array, same index
-                # grids, same mask — share the staged block instead of
-                # re-gathering it (the arrays are only ever read).
+                # grids, same mask — share the staged arrays instead of
+                # re-gathering them (they are only ever read).
                 staged = staged_cache[sp.table]
             else:
                 staged = stage(
@@ -531,11 +531,7 @@ class SharedMemoryKernel:
                 bank_keys,
                 planned_congestions,
             ) = staged
-            values = (
-                np.arange(p, dtype=np.float64)
-                if step.op == "write" and step.immediate
-                else None
-            )
+            values = immediate if step.op == "write" and step.immediate else None
             batched.append(
                 BatchedInstruction.staged(
                     op=step.op,
@@ -547,19 +543,20 @@ class SharedMemoryKernel:
                     bank_keys=bank_keys,
                     mask=mask_out,
                     max_address=self.bases[step.array] + p - 1,
-                    flat_stride=stride,
                     planned_congestions=planned_congestions,
                 )
             )
         return batched
 
-    def make_batched_machine(self, trials: int, latency: int = 1) -> BatchedDMM:
-        """A batched DMM sized for this kernel's arrays."""
+    def make_batched_machine(
+        self, shifts: np.ndarray, latency: int = 1
+    ) -> BatchedDMM:
+        """A batched DMM sized for this kernel's arrays, for ``shifts``."""
         return BatchedDMM(
             self.w,
             latency,
             memory_size=len(self.arrays) * self.mapping.storage_words,
-            trials=trials,
+            shifts=shifts,
         )
 
     def run_batch(
@@ -572,8 +569,9 @@ class SharedMemoryKernel:
         exact DMM completion time the scalar path would report for
         trial ``t``'s mapping.
         """
-        machine = self.make_batched_machine(shifts.shape[0], latency)
-        return machine.run(self.program_batch(shifts))
+        program = self.program_batch(shifts)
+        machine = self.make_batched_machine(program.shifts, latency)
+        return machine.run(program)
 
     def run_plan(
         self,
@@ -605,7 +603,7 @@ class SharedMemoryKernel:
             )
         shifts = np.ascontiguousarray(shifts, dtype=np.int64)
         check_family_shifts(plan.family, shifts, self.w)
-        machine = self.make_batched_machine(shifts.shape[0], latency)
+        machine = self.make_batched_machine(shifts, latency)
         return machine.execute_plan(
             self.program_batch(shifts, plan=plan), backend=backend
         )

@@ -11,6 +11,7 @@ trial, for every builtin app under every mapping family.
 import numpy as np
 import pytest
 
+from repro.analysis.plan import compile_plan
 from repro.apps import BUILTIN_PROGRAMS, build_app_program
 from repro.core.congestion import congestion_batch, warp_congestion
 from repro.core.mappings import (
@@ -19,9 +20,10 @@ from repro.core.mappings import (
     mapping_from_shifts,
     sample_shift_batch,
 )
-from repro.dmm import BatchedDMM, stack_programs
+from repro.dmm import BatchedDMM
 from repro.dmm.machine import DiscreteMemoryMachine
-from repro.dmm.trace import INACTIVE, MemoryProgram, read, write
+from repro.dmm.trace import INACTIVE, MemoryProgram, read
+from repro.gpu.kernel import KernelStep, SharedMemoryKernel
 from repro.util.rng import as_generator
 
 W = 8
@@ -154,146 +156,155 @@ def test_batched_matches_scalar_exactly(app, mapping_name):
 
 
 # ---------------------------------------------------------------------------
-# stack_programs: the generic (unstaged) batching path
+# hand-written KernelStep batches: the semantic corner cases
 # ---------------------------------------------------------------------------
 
 
-class TestStackPrograms:
-    def _random_program(self, rng):
-        p = W * W
-        addrs = rng.integers(0, W * W, size=p)
-        mask = rng.random(p) < 0.8
-        masked = np.where(mask, addrs, INACTIVE)
-        return MemoryProgram(
-            p=p,
-            instructions=[
-                write(np.arange(p) % (W * W), values=np.arange(p, dtype=float)),
-                read(masked, register="r1"),
-                write(rng.integers(0, W * W, size=p), register="r1"),
-            ],
+def _grid(rng, shape=(W, W)):
+    return rng.integers(0, W, size=shape)
+
+
+def _assert_kernel_matches_scalar(steps, arrays, family, trials, seed, latency=2):
+    """run_batch and numpy run_plan vs the scalar machine, per trial."""
+    shifts = sample_shift_batch(family, W, trials, as_generator(seed))
+    kernel = SharedMemoryKernel(W, steps, arrays=arrays)
+    plan = compile_plan(kernel, family)
+    results = [
+        kernel.run_batch(shifts, latency=latency),
+        kernel.run_plan(shifts, plan, latency=latency),
+    ]
+    for t in range(trials):
+        scalar_kernel = SharedMemoryKernel(
+            W, steps, arrays=arrays, mapping=mapping_from_shifts(family, shifts[t])
         )
+        machine = scalar_kernel.make_machine(latency=latency)
+        scalar_result = machine.run(scalar_kernel.program())
+        for res in results:
+            _assert_trial_matches(res, t, scalar_result, machine)
+    return results
 
-    def test_stacked_execution_matches_each_scalar_run(self):
-        rng = as_generator(21)
-        programs = [self._random_program(rng) for _ in range(3)]
-        batched = stack_programs(programs)
-        machine = BatchedDMM(W, latency=2, memory_size=W * W, trials=3)
-        res = machine.run(batched)
-        for t, program in enumerate(programs):
-            scalar = DiscreteMemoryMachine(W, latency=2, memory_size=W * W)
-            scalar_result = scalar.run(program)
-            _assert_trial_matches(res, t, scalar_result, scalar)
 
-    def test_structural_mismatch_rejected(self):
-        p = W * W
-        a = MemoryProgram(p=p, instructions=[read(np.arange(p) % (W * W))])
-        b = MemoryProgram(
-            p=p, instructions=[write(np.arange(p) % (W * W), register="r2")]
-        )
-        with pytest.raises(ValueError, match="differs structurally"):
-            stack_programs([a, b])
-
-    def test_trial_count_must_match_machine(self):
-        p = W * W
-        programs = [
-            MemoryProgram(p=p, instructions=[read(np.arange(p) % (W * W))])
-        ] * 2
-        machine = BatchedDMM(W, latency=1, memory_size=W * W, trials=3)
-        with pytest.raises(ValueError, match="trials"):
-            machine.run(stack_programs(programs))
-
-    def test_empty_program_list_rejected(self):
-        with pytest.raises(ValueError, match="at least one program"):
-            stack_programs([])
-
-    def test_single_step_programs_stack_and_match_scalar(self):
-        # The minimal batch: one instruction per program, still exact.
+class TestKernelStepBatches:
+    @pytest.mark.parametrize("family", MAPPING_NAMES)
+    def test_single_step_matches_scalar(self, family):
+        # The minimal batch: one immediate write with colliding lanes.
         rng = as_generator(31)
-        p = W * W
-        programs = [
-            MemoryProgram(
-                p=p,
-                instructions=[
-                    write(
-                        rng.integers(0, W * W, size=p),
-                        values=rng.random(p),
-                    )
-                ],
-            )
-            for _ in range(3)
-        ]
-        machine = BatchedDMM(W, latency=1, memory_size=W * W, trials=3)
-        res = machine.run(stack_programs(programs))
+        steps = [KernelStep("write", "a", _grid(rng), _grid(rng), immediate=True)]
+        (res, _) = _assert_kernel_matches_scalar(steps, ("a",), family, 3, 31)
         assert len(res.traces) == 1
-        for t, program in enumerate(programs):
-            scalar = DiscreteMemoryMachine(W, latency=1, memory_size=W * W)
-            scalar_result = scalar.run(program)
-            _assert_trial_matches(res, t, scalar_result, scalar)
 
     def test_all_masked_warp_has_zero_congestion_everywhere(self):
-        # One warp entirely INACTIVE in every trial: it must dispatch
-        # nothing and contribute zero congestion, in every trial.
-        p = 2 * W
-        addrs = np.arange(p) % (W * W)
-        masked = addrs.copy()
-        masked[W:] = INACTIVE  # second warp fully inactive
-        programs = [
-            MemoryProgram(p=p, instructions=[read(masked, register="r")])
-            for _ in range(3)
+        # One warp entirely masked off: it must dispatch nothing and
+        # contribute zero congestion, in every trial.
+        rng = as_generator(32)
+        mask = np.ones((W, W), dtype=bool)
+        mask[1] = False  # second warp fully inactive
+        steps = [KernelStep("read", "a", _grid(rng), _grid(rng), register="r", mask=mask)]
+        for res in _assert_kernel_matches_scalar(steps, ("a",), "RAP", 3, 32):
+            assert np.array_equal(
+                res.traces[0].congestions[:, 1], np.zeros(3, dtype=np.int64)
+            )
+            for t in range(3):
+                assert 1 not in res.traces[0].trial_dispatched(t)
+
+    @pytest.mark.parametrize("family", MAPPING_NAMES)
+    def test_masked_read_keeps_old_register_values(self, family):
+        # Fill a, read it into r, then a masked read of b (all zeros)
+        # must overwrite only the active lanes of r.
+        rng = as_generator(21)
+        mask = rng.random((W, W)) < 0.6
+        ii, jj = np.indices((W, W))
+        steps = [
+            KernelStep("write", "a", ii, jj, immediate=True),
+            KernelStep("read", "a", _grid(rng), _grid(rng), register="r"),
+            KernelStep("read", "b", _grid(rng), _grid(rng), register="r", mask=mask),
+            KernelStep("write", "b", _grid(rng), _grid(rng), register="r"),
         ]
-        machine = BatchedDMM(W, latency=1, memory_size=W * W, trials=3)
-        res = machine.run(stack_programs(programs))
-        assert np.array_equal(
-            res.traces[0].congestions[:, 1], np.zeros(3, dtype=np.int64)
-        )
-        for t in range(3):
-            assert res.traces[0].trial_dispatched(t) == (0,)
+        for res in _assert_kernel_matches_scalar(steps, ("a", "b"), family, 4, 21):
+            reg = res.trial_registers(0)["r"]
+            assert (reg[~mask.ravel()] != 0).any()
+            assert (reg[mask.ravel()] == 0).all()
 
-    def test_mixed_value_and_register_columns_rejected(self):
-        # Same op/register but one program writes an immediate while
-        # the other writes from a register: structurally different.
-        p = W * W
-        addrs = np.arange(p) % (W * W)
-        with_values = MemoryProgram(
-            p=p,
-            instructions=[write(addrs, values=np.ones(p))],
-        )
-        from_register = MemoryProgram(
-            p=p,
-            instructions=[write(addrs, register="acc")],
-        )
-        with pytest.raises(ValueError, match="instruction 0 differs structurally"):
-            stack_programs([with_values, from_register])
+    @pytest.mark.parametrize("family", MAPPING_NAMES)
+    def test_immediate_writes_match_scalar(self, family):
+        # Immediate writes race (duplicate (i, j) in a warp) and
+        # overwrite each other; a masked immediate write leaves the
+        # masked words alone.
+        rng = as_generator(41)
+        mask = rng.random((W, W)) < 0.5
+        steps = [
+            KernelStep("write", "a", _grid(rng), _grid(rng), immediate=True),
+            KernelStep("write", "a", _grid(rng), _grid(rng), immediate=True, mask=mask),
+            KernelStep("read", "a", _grid(rng), _grid(rng), register="x"),
+        ]
+        _assert_kernel_matches_scalar(steps, ("a",), family, 4, 41)
 
-    def test_mismatched_thread_count_rejected(self):
-        a = MemoryProgram(p=W, instructions=[read(np.arange(W))])
-        b = MemoryProgram(p=2 * W, instructions=[read(np.arange(2 * W))])
-        with pytest.raises(ValueError, match="thread and instruction counts"):
-            stack_programs([a, b])
-
-    def test_mismatched_instruction_count_rejected(self):
-        addrs = np.arange(W)
-        a = MemoryProgram(p=W, instructions=[read(addrs)])
-        b = MemoryProgram(p=W, instructions=[read(addrs), read(addrs)])
-        with pytest.raises(ValueError, match="thread and instruction counts"):
-            stack_programs([a, b])
-
-
-class TestStagedFlatAddressing:
-    def test_stride_mismatch_rejected(self):
-        """A staged program carries the stride it was baked for; running
-        it on a machine with a different memory stride must fail loudly
-        instead of reading other trials' words."""
-        rng = as_generator(5)
-        shifts = sample_shift_batch("RAP", W, 2, rng)
+    def test_trial_count_must_match_machine(self):
+        shifts = sample_shift_batch("RAP", W, 2, as_generator(5))
         kernel = build_app_program("transpose_crsw", RAWMapping(W), seed=SEED)
         staged = kernel.program_batch(shifts)
-        machine = kernel.make_batched_machine(trials=2)
-        bigger = BatchedDMM(
-            W, latency=1, memory_size=machine.memory.size + 7, trials=2
+        machine = kernel.make_batched_machine(
+            sample_shift_batch("RAP", W, 3, as_generator(5))
         )
-        with pytest.raises(ValueError, match="stride"):
-            bigger.run(staged)
+        with pytest.raises(ValueError, match="trials"):
+            machine.run(staged)
+
+
+class TestStagedLogicalFlow:
+    def test_memory_size_mismatch_rejected(self):
+        """Masked lanes are staged at scratch word S = memory size; on a
+        machine of any other size that index would alias a real word,
+        so the machine must refuse the program."""
+        shifts = sample_shift_batch("RAP", W, 2, as_generator(5))
+        kernel = build_app_program("transpose_crsw", RAWMapping(W), seed=SEED)
+        staged = kernel.program_batch(shifts)
+        size = kernel.make_batched_machine(shifts).memory.size
+        assert staged.memory_size == size
+        for other in (size + W, size + W * W):
+            machine = BatchedDMM(W, latency=1, memory_size=other, shifts=shifts)
+            with pytest.raises(ValueError, match="memory size"):
+                machine.run(staged)
+        smaller = BatchedDMM(W, latency=1, memory_size=size - W, shifts=shifts)
+        with pytest.raises(IndexError, match="memory size"):
+            smaller.run(staged)
+
+    def test_foreign_shift_draws_rejected(self):
+        shifts = sample_shift_batch("RAP", W, 2, as_generator(5))
+        kernel = build_app_program("transpose_crsw", RAWMapping(W), seed=SEED)
+        staged = kernel.program_batch(shifts)
+        machine = kernel.make_batched_machine(np.roll(shifts, 1, axis=1))
+        with pytest.raises(ValueError, match="shift draws"):
+            machine.run(staged)
+
+    @pytest.mark.parametrize("app", ["fft", "sort", "transpose_drdw"])
+    def test_staged_addresses_do_not_scale_with_trials(self, app):
+        """Values move once: the staged index tables are (p,) per step,
+        so their summed bytes are the same at T=1 and T=16."""
+        kernel = build_app_program(app, RAWMapping(W), seed=SEED)
+        plan = compile_plan(kernel, "RAP", app)
+        for staged_plan in (None, plan):
+            nbytes = [
+                sum(
+                    instr.addresses.nbytes
+                    for instr in kernel.program_batch(
+                        sample_shift_batch("RAP", W, trials, as_generator(SEED)),
+                        plan=staged_plan,
+                    )
+                )
+                for trials in (1, 16)
+            ]
+            assert nbytes[0] == nbytes[1] > 0
+
+    def test_padded_mapping_rejected(self):
+        """Logical flow needs each array to fill exactly w*w words."""
+        from repro.core.padded import PaddedMapping
+
+        kernel = build_app_program("transpose_crsw", RAWMapping(W), seed=SEED)
+        padded = SharedMemoryKernel(
+            W, kernel.steps, arrays=kernel.arrays, mapping=PaddedMapping(W)
+        )
+        with pytest.raises(ValueError, match="64-word arrays"):
+            padded.program_batch(np.zeros((2, W), dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
