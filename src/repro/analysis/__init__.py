@@ -42,7 +42,7 @@ Two legs, both pure analysis (no DMM execution, no Monte-Carlo):
     *statically resolved* (a certificate proves the per-warp
     congestion for every draw, so timing is a closed-form constant)
     vs *residual* (simulated as before).  Consumed by
-    :meth:`repro.dmm.batched.BatchedDMM.execute_plan`.
+    :meth:`repro.dmm.batched.BatchedDMM.run`.
 
 **Abstract interpreter** (:mod:`repro.analysis.absint`)
     The sound middle tier past affine: a reduced product of interval

@@ -49,7 +49,7 @@ index table and key block (shearsort's 1400+ steps collapse to 2
 tables), and the executor counts a pooled residual table once per run.
 
 Execution is ``kernel.program_batch(shifts, plan=plan.steps)`` +
-:meth:`~repro.dmm.batched.BatchedDMM.execute_plan` (or the
+:meth:`~repro.dmm.batched.BatchedDMM.run` (or the
 :meth:`~repro.gpu.kernel.SharedMemoryKernel.run_plan` convenience),
 and the contract is unchanged from the plain batched engine:
 per-trial congestion tuples, dispatch, timing, registers, and memory
@@ -61,7 +61,7 @@ RAS, and RAP).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -76,8 +76,8 @@ from repro.core.congestion import congestion_batch
 from repro.dmm.trace import INACTIVE
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.dmm.backends import PlanBackend, Resolution, StagedPlan
-    from repro.dmm.batched import BatchedExecutionResult
+    from repro.dmm.backends import Resolution, StagedPlan
+    from repro.dmm.batched import BatchedDMM, BatchedExecutionResult, BatchedProgram
     from repro.gpu.kernel import KernelStep, SharedMemoryKernel
 
 __all__ = [
@@ -459,39 +459,48 @@ def compile_plan(
     )
 
 
-def stage_compiled(
+def _stage(
     kernel: "SharedMemoryKernel",
     shifts: np.ndarray,
     plan: CompiledPlan,
-    latency: int = 1,
-    backend: Union[str, "PlanBackend", None] = "auto",
-) -> "tuple[Resolution, StagedPlan]":
-    """Stage a compiled plan on an execution backend without running it.
+    latency: int,
+) -> "tuple[BatchedDMM, BatchedProgram]":
+    """The machine and plan-staged program for one draw batch.
 
-    The staging handoff between the plan compiler and
-    :mod:`repro.dmm.backends`: validates the draw batch against the
-    plan's family (a plan's verdicts are theorems about one family),
-    builds the batched machine and the plan-staged program, resolves
-    ``backend`` (graceful fallback included), and returns the
-    :class:`~repro.dmm.backends.Resolution` alongside the backend's
-    :class:`~repro.dmm.backends.StagedPlan`.  Callers that want to pay
-    staging once and execute later (or inspect *which* backend will
-    run, e.g. the bench harness) use this; one-shot callers use
-    :func:`run_compiled` or
-    :meth:`~repro.gpu.kernel.SharedMemoryKernel.run_plan`.
+    Validates the batch against the plan's family first: a plan's
+    verdicts are theorems about one family, so foreign draws (or a
+    plan compiled at another width) are refused.
     """
-    from repro.dmm.backends import resolve_backend
-
     if plan.w != kernel.w:
         raise ValueError(
             f"plan was compiled at w={plan.w}, kernel has w={kernel.w}"
         )
     shifts = np.ascontiguousarray(shifts, dtype=np.int64)
     check_family_shifts(plan.family, shifts, kernel.w)
-    resolution = resolve_backend(backend)
     machine = kernel.make_batched_machine(shifts, latency)
-    program = kernel.program_batch(shifts, plan=plan)
-    return resolution, resolution.backend.stage(machine, program)
+    return machine, kernel.program_batch(shifts, plan=plan)
+
+
+def stage_compiled(
+    kernel: "SharedMemoryKernel",
+    shifts: np.ndarray,
+    plan: CompiledPlan,
+    latency: int = 1,
+    backend: str = "numpy",
+) -> "tuple[Resolution, StagedPlan]":
+    """Stage a compiled plan without running it.
+
+    Returns ``(resolution, staged)``; ``resolution.backend.execute(staged)``
+    runs it.  This is the call shape of :mod:`repro.dmm.backends`, kept
+    for the benchmark harness, which times staging and execution as
+    separate layers.  ``backend`` must be ``"numpy"``, the only one.
+    """
+    from repro.dmm.backends import NUMPY, Resolution, StagedPlan
+
+    if backend != NUMPY.name:
+        raise ValueError(f"unknown backend {backend!r}; the only one is 'numpy'")
+    machine, program = _stage(kernel, shifts, plan, latency)
+    return Resolution(), StagedPlan(machine=machine, program=program)
 
 
 def run_compiled(
@@ -499,16 +508,13 @@ def run_compiled(
     shifts: np.ndarray,
     plan: CompiledPlan,
     latency: int = 1,
-    backend: Union[str, "PlanBackend", None] = "auto",
 ) -> "BatchedExecutionResult":
-    """Stage and execute a compiled plan on a backend in one call.
+    """Stage and execute a compiled plan in one call.
 
-    Equivalent to
-    ``kernel.run_plan(shifts, plan, latency, backend=backend)`` except
-    that ``backend`` defaults to ``"auto"`` (fastest available) rather
-    than the numpy reference.  Bit-identical across backends.
+    Resolved steps never replay addresses for congestion counting; the
+    result is bit-identical to
+    :meth:`~repro.gpu.kernel.SharedMemoryKernel.run_batch` (and to the
+    scalar machine per trial).
     """
-    resolution, staged = stage_compiled(
-        kernel, shifts, plan, latency=latency, backend=backend
-    )
-    return resolution.backend.execute(staged)
+    machine, program = _stage(kernel, shifts, plan, latency)
+    return machine.run(program)

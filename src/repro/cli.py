@@ -28,11 +28,8 @@ Performance subcommand:
   builtin apps, verified identical before timing
   (``python -m repro bench-dmm --trials 100 --json BENCH_dmm.json``);
   ``--plan`` benchmarks the plan-compiled executor against the plain
-  batched path instead, ``--plan --backend numba`` the numba execution
-  backend against the numpy reference, and
-  ``--plan --compare-backends`` every registered backend side by side
-  (``python -m repro bench-dmm --plan --compare-backends --w 32 256
-  --json BENCH_backends.json``).
+  batched path instead (``python -m repro bench-dmm --plan --apps fft
+  sort --w 32 256 --trials 50 --repeats 2 --json BENCH_plan.json``).
 
 Adversarial subcommand:
 
@@ -87,6 +84,7 @@ from repro.report.tables import (
     render_table3,
     render_table4,
 )
+from repro.resilience.faults import BUILTIN_WORKER_FAULT_PLANS
 from repro.sim.experiments import table1, table2, table3, table4
 
 __all__ = ["main", "build_parser", "run_experiment", "ANALYSIS_COMMANDS"]
@@ -107,6 +105,16 @@ def _workers_arg(value: str) -> int:
             f"must be >= 0 (0 = all cores), got {workers}"
         )
     return workers
+
+
+def _fabric_arg(value: str) -> "FabricSpec":
+    """argparse type for ``--fabric``: a parsed, validated fabric spec."""
+    from repro.fabric import parse_fabric_spec
+
+    try:
+        return parse_fabric_spec(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _engine_from_args(args) -> "MonteCarloEngine":
@@ -543,23 +551,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--fabric",
         metavar="SPEC",
+        type=_fabric_arg,
         default=None,
         help=(
             "run Monte-Carlo shards on the distributed sweep fabric: "
             "N lease-based work-stealing workers with failure detection "
             "(e.g. 'workers=4' or 'workers=4,backend=pool'; backends: "
-            "inproc, pool, spawned).  Results are bit-identical to "
+            "inproc, pool).  Results are bit-identical to "
             "--workers execution."
         ),
     )
     parser.add_argument(
         "--chaos",
-        metavar="PLAN",
+        choices=sorted(BUILTIN_WORKER_FAULT_PLANS),
         default=None,
         help=(
-            "inject a builtin worker-fault schedule (kill-worker, "
-            "kill-two-workers, worker-blackout, slow-worker, "
-            "corrupt-result, kill-coordinator) — the CI chaos gate: "
+            "inject a builtin worker-fault schedule — the CI chaos gate: "
             "output must stay byte-identical to a fault-free run"
         ),
     )
@@ -765,6 +772,7 @@ def _sweep_all_main(argv: Sequence[str]) -> int:
     parser.add_argument(
         "--fabric",
         metavar="SPEC",
+        type=_fabric_arg,
         default=None,
         help="fabric spec, e.g. 'workers=4' or 'workers=4,backend=pool'",
     )

@@ -35,16 +35,14 @@ RAW, RAS, and RAP, and on generated kernels).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Optional, Union
+from typing import Iterator, Optional
 
 import numpy as np
 import numpy.typing as npt
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.dmm.backends import PlanBackend
-
 from repro.core.congestion import max_run_lengths
 from repro.dmm.memory import BatchedMemory
+from repro.dmm.mmu import batch_completion_times
 from repro.dmm.trace import INACTIVE
 from repro.util.validation import check_latency, check_positive_int
 
@@ -425,41 +423,91 @@ class BatchedDMM:
     def run(self, program: BatchedProgram) -> BatchedExecutionResult:
         """Execute the batch; returns per-trial data and exact timing.
 
-        The numpy reference loop, i.e. :meth:`execute_plan` with the
-        default backend: a program staged without a plan simply has no
-        resolved steps.
+        The one executor loop.  Per instruction:
+
+        * a statically *resolved* instruction (plan-certified constant
+          per-warp congestion, empty dynamic-warp set) settles its
+          congestion matrix and completion time in closed form — no
+          bank counting, only the data movement;
+        * every other instruction takes its congestion from
+          :func:`instruction_congestions` (the plan's evaluated coset
+          matrix, or static congestions plus a count over pre-staged
+          bank keys, once per plan-pooled table) and runs the
+          vectorized timing arithmetic;
+        * every instruction then moves its ``(p,)`` lanes on the
+          logical image: one gather or one CRCW last-lane-wins scatter.
+
+        A program staged without a plan simply has no resolved steps.
         """
-        return self.execute_plan(program)
+        self._check_program(program)
+        registers: dict[str, np.ndarray] = {}
+        time_units = np.zeros(self.trials, dtype=np.int64)
+        traces: list[BatchedInstructionTrace] = []
+        # Plan-pooled steps share one staged key block (same array, grids
+        # and mask), so their congestion is counted once per run.
+        counted: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+        for instr in program:
+            static = instr.static_congestions
+            dyn = instr.dynamic_warps
+            pooled = (id(instr.bank_keys), id(static), id(dyn))
+            if static is not None and dyn is not None and dyn.size == 0:
+                # Statically resolved: the certified constant vector,
+                # and StageSchedule's closed form on its total.
+                cong = np.broadcast_to(static[None, :], (self.trials, static.size))
+                total = int(static.sum())
+                per_trial = total + self.latency - 1 if total > 0 else 0
+                times = np.full(self.trials, per_trial, dtype=np.int64)
+            elif instr.bank_keys is not None and pooled in counted:
+                cong, times = counted[pooled]
+            else:
+                cong = instruction_congestions(instr, self.w, self.trials)
+                times = batch_completion_times(cong.sum(axis=1), self.latency)
+                if instr.bank_keys is not None:
+                    counted[pooled] = cong, times
+            _move_data(self.memory, instr, registers)
+            traces.append(
+                BatchedInstructionTrace(op=instr.op, congestions=cong, time_units=times)
+            )
+            time_units += times
+        shape = (self.trials, program.p)
+        return BatchedExecutionResult(
+            time_units=time_units,
+            traces=traces,
+            registers={
+                name: np.broadcast_to(reg, shape) for name, reg in registers.items()
+            },
+            memory=self.memory,
+        )
 
-    def execute_plan(
-        self,
-        program: BatchedProgram,
-        backend: Union[str, "PlanBackend", None] = None,
-    ) -> BatchedExecutionResult:
-        """Execute a staged batch, skipping resolved-step simulation.
 
-        The plan compiler (:func:`repro.analysis.plan.compile_plan`)
-        stages statically resolved instructions with an empty
-        ``dynamic_warps`` set: their per-warp congestion is a certified
-        constant for every draw of the mapping family, so the loop
-        settles their congestion tuple and completion time in closed
-        form — no bank counting, no key sort, only the data movement.
-        Absint-resolved instructions carry ``planned_congestions`` (the
-        coset closed form, already evaluated from the shift draws),
-        which :func:`instruction_congestions` serves without counting.
-        Residual instructions count their pre-staged bank keys.
+def _move_data(
+    memory: BatchedMemory,
+    instr: BatchedInstruction,
+    registers: dict[str, np.ndarray],
+) -> None:
+    """The data half of one instruction, on the logical image.
 
-        ``backend`` selects *where* the loop runs: ``None`` keeps the
-        numpy reference path, a registered name (``"numba"``,
-        ``"auto"``) or a :class:`~repro.dmm.backends.PlanBackend`
-        instance routes through
-        :func:`repro.dmm.backends.resolve_backend`.  Every backend is
-        bit-identical to the reference; the choice only moves
-        wall-clock.
-        """
-        from repro.dmm.backends import resolve_backend
-
-        chosen = resolve_backend(
-            "numpy" if backend is None else backend
-        ).backend
-        return chosen.execute(chosen.stage(self, program))
+    Masked lanes address the scratch word: a masked read gathers
+    garbage that the mask keeps out of the register, and a masked
+    write lands outside every addressable word, so last-lane-wins
+    resolution among the active lanes is the scalar machine's.
+    """
+    if instr.op == "read":
+        gathered = memory.read_flat(instr.addresses)
+        if instr.mask is None:
+            registers[instr.register] = gathered
+        else:
+            reg = registers.setdefault(
+                instr.register, np.zeros(instr.p, dtype=memory.dtype)
+            )
+            np.copyto(reg, gathered, where=instr.mask)
+    else:
+        if instr.values is not None:
+            source = instr.values
+        elif instr.register in registers:
+            source = registers[instr.register]
+        else:
+            raise KeyError(
+                f"write from register {instr.register!r} before any read into it"
+            )
+        memory.write_flat(instr.addresses, source)

@@ -2,12 +2,12 @@
 
 PR 5 made a *single* process pool fault-tolerant; this package
 generalizes that to a fabric of N independent workers behind the
-:class:`~repro.fabric.workers.Worker` protocol — in-process,
-one-subprocess-pool-per-worker, and a wire-serialized multi-host-shaped
-stub — coordinated by :class:`~repro.fabric.supervisor.FabricSupervisor`
-through a lease-based shard queue with heartbeat failure detection,
-work stealing, epoch fencing, poisoned-shard quarantine, and
-journal checkpointing.  The load-bearing contract is unchanged:
+:class:`~repro.fabric.workers.Worker` protocol — in-process or
+one-subprocess-pool-per-worker — coordinated by
+:class:`~repro.fabric.supervisor.FabricSupervisor` through a
+lease-based shard queue with heartbeat failure detection, work
+stealing, epoch fencing, poisoned-shard quarantine, and journal
+checkpointing.  The load-bearing contract is unchanged:
 
 > any schedule of worker crashes, stalls, blackouts, and corrupt
 > results yields results **bit-identical** to a fault-free run, at
@@ -33,7 +33,6 @@ from repro.fabric.workers import (
     FabricCall,
     InProcessWorker,
     PoolWorker,
-    SpawnedWorker,
     Worker,
     decode_result,
     encode_result,
@@ -53,7 +52,6 @@ __all__ = [
     "LeaseLost",
     "PoolWorker",
     "ShardQuarantined",
-    "SpawnedWorker",
     "WORKER_BACKENDS",
     "Worker",
     "decode_result",

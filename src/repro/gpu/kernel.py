@@ -18,7 +18,7 @@ write your kernel against logical indices, pick
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -38,7 +38,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.analysis.absint import CosetRecipe
     from repro.analysis.plan import CompiledPlan
     from repro.analysis.verify import VerificationReport
-    from repro.dmm.backends import PlanBackend
 
 __all__ = ["KernelStep", "KernelReport", "SharedMemoryKernel", "transpose_kernel"]
 
@@ -344,7 +343,7 @@ class SharedMemoryKernel:
         * steps the plan *resolved* carry the certified per-warp
           congestion vector and an empty dynamic-warp set — no
           duplicate-merge pass, no bank-key gather, and
-          :meth:`~repro.dmm.batched.BatchedDMM.execute_plan` settles
+          :meth:`~repro.dmm.batched.BatchedDMM.run` settles
           their timing in closed form; absint-resolved steps instead
           carry their :class:`~repro.analysis.absint.CosetRecipe`
           evaluated here against ``shifts`` (one sort over rows, not
@@ -578,35 +577,21 @@ class SharedMemoryKernel:
         shifts: np.ndarray,
         plan: "CompiledPlan",
         latency: int = 1,
-        backend: Union[str, "PlanBackend", None] = None,
     ) -> BatchedExecutionResult:
         """Execute the kernel under a compiled plan (see
         :func:`repro.analysis.plan.compile_plan`).
 
         Stages :meth:`program_batch` with the plan's static verdicts
         and address pooling, then runs
-        :meth:`~repro.dmm.batched.BatchedDMM.execute_plan` — resolved
-        steps never replay addresses for congestion counting.  The
-        result is bit-identical to :meth:`run_batch` (and to the scalar
-        machine per trial); ``shifts`` must be draws of the plan's
-        mapping family, which is checked up front.  ``backend`` selects
-        the execution backend for the residual steps (``None`` = numpy
-        reference; see :func:`repro.dmm.backends.resolve_backend`) —
-        every backend is bit-identical, the choice only moves
-        wall-clock.
+        :meth:`~repro.dmm.batched.BatchedDMM.run` — resolved steps
+        never replay addresses for congestion counting.  The result is
+        bit-identical to :meth:`run_batch` (and to the scalar machine
+        per trial); ``shifts`` must be draws of the plan's mapping
+        family, which is checked up front.
         """
-        from repro.analysis.plan import check_family_shifts
+        from repro.analysis.plan import run_compiled
 
-        if plan.w != self.w:
-            raise ValueError(
-                f"plan was compiled at w={plan.w}, kernel has w={self.w}"
-            )
-        shifts = np.ascontiguousarray(shifts, dtype=np.int64)
-        check_family_shifts(plan.family, shifts, self.w)
-        machine = self.make_batched_machine(shifts, latency)
-        return machine.execute_plan(
-            self.program_batch(shifts, plan=plan), backend=backend
-        )
+        return run_compiled(self, shifts, plan, latency)
 
     def verify(self, certify: bool = True) -> "VerificationReport":
         """Statically verify the kernel without executing it.

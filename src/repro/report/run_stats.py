@@ -24,7 +24,7 @@ class FabricWorkerStats:
         Fabric worker id (the degraded-mode fallback worker uses the
         first id past the configured worker count).
     backend:
-        Backend kind (``inproc``/``pool``/``spawned``/``inproc-fallback``).
+        Backend kind (``inproc``/``pool``/``inproc-fallback``).
     shards:
         Shard results this worker delivered and the coordinator
         accepted.

@@ -1,8 +1,7 @@
 """Differential test of the batched executor on generated kernels.
 
-Every fast path — ``run_batch``, and ``run_plan`` on the numpy backend
-and on the numba backend's plain-python kernel set — must reproduce
-the scalar :class:`~repro.dmm.machine.DiscreteMemoryMachine` per trial:
+Both fast paths — ``run_batch`` and ``run_plan`` — must reproduce the
+scalar :class:`~repro.dmm.machine.DiscreteMemoryMachine` per trial:
 congestion tuples, dispatch sets, per-step and total time, registers,
 and the physical memory image ``memory.trial(t)``.
 
@@ -20,8 +19,6 @@ import pytest
 
 from repro.analysis.plan import compile_plan
 from repro.core.mappings import mapping_from_shifts, sample_shift_batch
-from repro.dmm.backends import NumbaBackend
-from repro.dmm.backends.kernels import PYTHON_KERNELS
 from repro.gpu.kernel import KernelStep, SharedMemoryKernel
 from repro.util.rng import as_generator
 
@@ -105,13 +102,7 @@ def test_generated_kernel_matches_scalar(w, family, trials, seed):
     latency = 1 + seed
     results = {
         "run_batch": kernel.run_batch(shifts, latency=latency),
-        "run_plan/numpy": kernel.run_plan(shifts, plan, latency=latency),
-        "run_plan/numba-python": kernel.run_plan(
-            shifts,
-            plan,
-            latency=latency,
-            backend=NumbaBackend(kernels=dict(PYTHON_KERNELS)),
-        ),
+        "run_plan": kernel.run_plan(shifts, plan, latency=latency),
     }
     for t in range(trials):
         scalar_kernel = SharedMemoryKernel(

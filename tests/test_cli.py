@@ -30,6 +30,25 @@ class TestParser:
     def test_all_is_a_choice(self):
         assert "all" in EXPERIMENT_NAMES
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table2", "--fabric", "backend=bogus"],
+            ["table2", "--fabric", "workers=x"],
+            ["table2", "--fabric", "backend=spawned"],
+            ["table2", "--chaos", "nope"],
+            ["table4", "--fabric", "workers=x"],
+            ["table4", "--chaos", "nope"],
+            ["sweep-all", "--fabric", "backend=bogus"],
+            ["sweep-all", "--fabric", "backend=spawned"],
+        ],
+    )
+    def test_bad_fabric_or_chaos_spec_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--trials", "4", "--widths", "8", "--no-cache"])
+        assert exc.value.code == 2
+        assert f"argument {argv[1]}" in capsys.readouterr().err
+
 
 class TestRunExperiment:
     def test_table1(self):

@@ -154,5 +154,5 @@ def test_fabric_flag_output_matches_plain_run(tmp_path, capsys):
     plain = capsys.readouterr().out
     assert repro_main([*base, "--fabric", "workers=2"]) == 0
     assert capsys.readouterr().out == plain
-    assert repro_main([*base, "--fabric", "workers=4,backend=spawned"]) == 0
+    assert repro_main([*base, "--fabric", "workers=4,backend=inproc"]) == 0
     assert capsys.readouterr().out == plain

@@ -17,6 +17,8 @@ from repro.analysis.plan import (
     PLAN_FAMILIES,
     check_family_shifts,
     compile_plan,
+    run_compiled,
+    stage_compiled,
 )
 from repro.apps import BUILTIN_PROGRAMS, build_app_program
 from repro.core.mappings import (
@@ -271,6 +273,74 @@ class TestFamilyChecks:
 
 
 # ---------------------------------------------------------------------------
+# staging handoff: stage_compiled / run_compiled
+# ---------------------------------------------------------------------------
+
+
+def _assert_results_equal(a, b):
+    assert np.array_equal(a.time_units, b.time_units)
+    for at, bt in zip(a.traces, b.traces, strict=True):
+        assert np.array_equal(at.congestions, bt.congestions)
+        assert np.array_equal(at.time_units, bt.time_units)
+    assert set(a.registers) == set(b.registers)
+    for reg in a.registers:
+        assert np.array_equal(a.registers[reg], b.registers[reg])
+    assert np.array_equal(a.memory.store, b.memory.store)
+
+
+class TestStagingHandoff:
+    def _fft(self, family="RAP"):
+        shifts = sample_shift_batch(family, W, TRIALS, as_generator(SEED))
+        kernel = build_app_program("fft", RAWMapping(W), seed=SEED)
+        return kernel, shifts, compile_plan(kernel, family, "fft")
+
+    def test_benchmark_call_shape(self):
+        """The shape the benchmark's plan workloads drive: staged
+        machine and program, a numpy backend that never fell back, and
+        results equal to run_plan."""
+        kernel, shifts, plan = self._fft()
+        resolution, staged = stage_compiled(kernel, shifts, plan, backend="numpy")
+        assert resolution.backend.name == "numpy"
+        assert resolution.fell_back is False
+        assert len(staged.program) == len(plan.steps)
+        assert staged.machine.memory.trials == TRIALS
+        res = resolution.backend.execute(staged)
+        _assert_results_equal(res, kernel.run_plan(shifts, plan))
+        with pytest.raises(ValueError, match="numba"):
+            stage_compiled(kernel, shifts, plan, backend="numba")
+
+    def test_staged_plan_reexecutes(self):
+        """Staging once and executing twice is legal and idempotent in
+        timing (memory effects replay on the same machine)."""
+        kernel, shifts, plan = self._fft()
+        resolution, staged = stage_compiled(kernel, shifts, plan)
+        first = resolution.backend.execute(staged)
+        second = resolution.backend.execute(staged)
+        assert np.array_equal(first.time_units, second.time_units)
+
+    def test_run_compiled_matches_run_plan(self):
+        kernel, shifts, plan = self._fft("RAS")
+        _assert_results_equal(
+            run_compiled(kernel, shifts, plan, latency=3),
+            kernel.run_plan(shifts, plan, latency=3),
+        )
+
+    def test_stage_compiled_rejects_foreign_family_draw(self):
+        kernel = build_app_program("fft", RAWMapping(W), seed=SEED)
+        plan = compile_plan(kernel, "RAW", "fft")
+        ras = sample_shift_batch("RAS", W, TRIALS, as_generator(SEED))
+        with pytest.raises(ValueError, match="RAW"):
+            stage_compiled(kernel, ras, plan)
+
+    def test_stage_compiled_rejects_width_mismatch(self):
+        _, _, plan = self._fft()
+        other = build_app_program("fft", RAWMapping(16), seed=SEED)
+        shifts = sample_shift_batch("RAP", 16, TRIALS, as_generator(SEED))
+        with pytest.raises(ValueError, match="compiled at w=8"):
+            stage_compiled(other, shifts, plan)
+
+
+# ---------------------------------------------------------------------------
 # CLI: repro plan
 # ---------------------------------------------------------------------------
 
@@ -380,3 +450,26 @@ class TestBenchPlanCLI:
         )
         assert code == 1
         assert "FAIL" in capsys.readouterr().err
+
+    def test_multi_width_results_keyed_by_width(self, tmp_path):
+        from repro.cli import main
+
+        out = tmp_path / "widths.json"
+        argv = [
+            "bench-dmm", "--plan", "--apps", "gather", "--w", "8", "16",
+            "--trials", "4", "--repeats", "1", "--json", str(out),
+        ]
+        assert main(argv) == 0
+        payload = json.loads(out.read_text())
+        assert payload["w"] == [8, 16]
+        assert set(payload["apps"]) == {"gather@w=8", "gather@w=16"}
+
+    @pytest.mark.parametrize("option", ["--backend", "--compare-backends"])
+    def test_backend_options_are_gone(self, option, capsys):
+        """One executor, nothing to choose: the options exit 2."""
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["bench-dmm", "--plan", option, "numpy"])
+        assert exc.value.code == 2
+        assert option in capsys.readouterr().err
