@@ -1,7 +1,8 @@
 """Execution instrumentation for the Monte-Carlo engine.
 
 The engine records one :class:`ShardRecord` per executed shard (chunk
-of trials) and one counter tick per cache lookup; :class:`RunStatsCollector`
+of trials), one counter tick per cache lookup, and one entry per cell a
+proof closed without simulating; :class:`RunStatsCollector`
 aggregates them into the throughput summary printed by
 ``python -m repro <experiment> --stats``.  Pure bookkeeping — nothing
 here affects simulation results.
@@ -102,6 +103,7 @@ class RunStatsCollector:
     """Accumulates shard timings and cache hit/miss counters."""
 
     shards: list[ShardRecord] = field(default_factory=list)
+    certified: list[tuple[str, int]] = field(default_factory=list)
     cache_hits: int = 0
     cache_misses: int = 0
     retries: list[RetryRecord] = field(default_factory=list)
@@ -112,6 +114,10 @@ class RunStatsCollector:
 
     def record_shard(self, task: str, trials: int, seconds: float) -> None:
         self.shards.append(ShardRecord(task, trials, seconds))
+
+    def record_certified(self, task: str, trials: int) -> None:
+        """``task`` took its proven closed form; ``trials`` went unsimulated."""
+        self.certified.append((task, trials))
 
     def record_cache(self, hit: bool) -> None:
         if hit:
@@ -254,6 +260,12 @@ class RunStatsCollector:
             if rows
             else "Engine run stats: no shards executed",
         ]
+        if self.certified:
+            lines.append(
+                f"certified: {len(self.certified)} cells closed by proof "
+                f"({sum(trials for _, trials in self.certified)} trials "
+                "not simulated)"
+            )
         lookups = self.cache_hits + self.cache_misses
         if lookups:
             lines.append(

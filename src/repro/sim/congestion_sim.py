@@ -10,9 +10,19 @@ thousands of warp accesses per cell at widths up to 256.  The 4-D path
 dominated by drawing permutations and stays comfortably fast at the
 paper's ``w = 32``.
 
-Chunking bounds peak memory: a chunk of ``t`` trials of a ``w``-warp
-pattern materializes ``t * w * w`` int64 addresses, so trials are
-processed in blocks sized to ~64 MiB regardless of ``w``.
+Deterministic patterns simulate one warp per *translation class*.
+Under any per-row rotation lane ``(i, j)`` lands in bank ``(j + s_i)
+mod w``, so two warps whose lane sets agree after subtracting their
+first lane's column have the same congestion under every draw; each
+chunk measures the ``u`` class representatives and copies their values
+back to every member warp, in warp order.  Stride and diagonal collapse
+to ``u = 1``; contiguous keeps ``u = w``.
+
+Chunking bounds peak memory: a chunk of ``t`` trials is sized as if it
+staged ``t * w * w`` int64 addresses (~64 MiB per block regardless of
+``w``), which the ``random`` pattern does; deterministic patterns stage
+only ``t * u * w``.  Chunk sizes, and so the RNG stream, do not depend
+on ``u``.
 """
 
 from __future__ import annotations
@@ -286,7 +296,7 @@ def _accumulate_matrix(
     """
     stats = RunningStats()
 
-    # Trials per chunk so that the staged (t, w, w) address block stays
+    # Trials per chunk so that a staged (t, w, w) address block stays
     # under the memory budget.
     per_trial_bytes = w * w * 8
     chunk = max(1, min(trials, _CHUNK_BYTES // per_trial_bytes))
@@ -294,6 +304,14 @@ def _accumulate_matrix(
     is_random_pattern = pattern.lower() == "random"
     if not is_random_pattern:
         ii, jj = pattern_logical(pattern, w)  # (w, w), warp-major
+        # One representative warp per translation class (see the
+        # module docstring); ``inverse`` maps every warp to its class.
+        key = np.sort(ii * w + (jj - jj[:, :1]) % w, axis=1)
+        _, first, inverse = np.unique(
+            key, axis=0, return_index=True, return_inverse=True
+        )
+        ii, jj = ii[first], jj[first]  # (u, w)
+        inverse = inverse.reshape(-1)  # numpy 2.0.0 returns a column
 
     done = 0
     while done < trials:
@@ -307,9 +325,12 @@ def _accumulate_matrix(
             row_shift = shifts[np.arange(t)[:, None, None], ii_t]
             addresses = ii_t * w + (jj_t + row_shift) % w
         else:
-            # shifts[:, ii] broadcasts (t, w) over the (w, w) grid.
+            # shifts[:, ii] broadcasts (t, w) over the (u, w) grid.
             addresses = ii * w + (jj + shifts[:, ii]) % w
-        stats.add(congestion_batch(addresses.reshape(-1, w), w))
+        cong = congestion_batch(addresses.reshape(-1, w), w)
+        if not is_random_pattern:
+            cong = cong.reshape(t, -1)[:, inverse].reshape(-1)
+        stats.add(cong)
         stats.trials += t
         done += t
 

@@ -33,6 +33,17 @@ survives faults stays bit-identical to a fault-free run — the
 determinism contract doubles as a *recovery* contract
 (``tests/test_chaos.py``).
 
+Matrix cells whose value a proof already gives never reach a shard:
+when :func:`repro.analysis.absint.prove_pattern_forall_w` certifies a
+(pattern, family) cell *exactly* — the same congestion under every
+draw at every width ``w >= w0`` — :meth:`MonteCarloEngine._run`
+returns that closed form directly (no supervisor, cache, or RNG).  It
+is bit-identical to the simulation: all-equal integer samples give
+Welford mean ``c`` and ``M2 = 0`` exactly, and each cell owns its
+spawned seed, so skipping one moves no other cell's stream
+(``tests/test_certified_cells.py`` compares every such cell against
+the simulator).
+
 Built with a ``fabric`` spec, the engine routes the same shard plan
 through :class:`repro.fabric.FabricSupervisor` instead: N pluggable
 workers under lease-based work stealing with heartbeat failure
@@ -118,6 +129,11 @@ def _shard_sizes(trials: int, shards: int) -> list[int]:
 
 class MonteCarloEngine:
     """Executes congestion-simulation tasks over a process pool + cache.
+
+    Matrix cells that a for-all-w proof closes exactly (contiguous
+    under every family, stride under RAW and RAP, diagonal under RAW,
+    ...) return their closed form without simulating; every other
+    task runs its fixed shard plan.
 
     Parameters
     ----------
@@ -341,6 +357,11 @@ class MonteCarloEngine:
         self, kind: str, params: tuple, trials: int, seed: SeedLike
     ) -> CongestionStats:
         label = f"{kind}:{'/'.join(map(str, params[:-1]))}/w={params[-1]}"
+        if kind == "matrix":
+            certified = _certified_matrix_cell(*params, trials)
+            if certified is not None:
+                self.collector.record_certified(label, trials)
+                return certified
         seed_fp = seed_fingerprint(seed)
 
         key = None
@@ -372,6 +393,48 @@ class MonteCarloEngine:
         if key is not None:
             self.cache.put(key, stats)
         return stats
+
+
+def _certified_matrix_cell(
+    mapping_name: str, pattern: str, w: int, trials: int
+) -> CongestionStats | None:
+    """The closed form of a matrix cell every draw gives the same value.
+
+    ``None`` unless the pattern is one the simulator knows *and* has a
+    width-generic affine template, the family is RAW/RAS/RAP, and the
+    for-all-w certificate is ``"exact"`` at this width — ``"worst"``
+    certificates bound a supremum, not the mean, so those cells (and
+    ``random``) still simulate.  The stats are what the simulator would
+    accumulate from ``trials * w`` samples all equal to the certified
+    congestion.
+    """
+    from repro.access.patterns import PATTERN_NAMES
+    from repro.analysis.absint import (
+        ABSINT_FAMILIES,
+        KIND_EXACT,
+        prove_pattern_forall_w,
+    )
+    from repro.analysis.affine import AFFINE_PATTERNS
+
+    family, name = mapping_name.upper(), pattern.lower()
+    if (
+        family not in ABSINT_FAMILIES
+        or name not in AFFINE_PATTERNS
+        or name not in PATTERN_NAMES
+    ):
+        return None
+    cert = prove_pattern_forall_w(name, family)
+    if cert.kind != KIND_EXACT or w < cert.w0:
+        return None
+    c = cert.congestion_at(w)
+    return CongestionStats(
+        mean=float(c),
+        std=0.0,
+        minimum=c,
+        maximum=c,
+        n_samples=trials * w,
+        n_trials=trials,
+    )
 
 
 def _call_seeded(payload: tuple) -> object:

@@ -234,10 +234,12 @@ def table2(
 ) -> Table2Result:
     """Regenerate Table II by Monte-Carlo simulation.
 
-    Every (pattern, mapping, width) cell redraws the mapping ``trials``
-    times and averages per-warp congestion; deterministic cells
-    converge instantly, randomized ones to ~3 decimal places at the
-    default trial count.
+    Cells a for-all-w proof closes exactly — contiguous under every
+    mapping, stride under RAW and RAP, diagonal under RAW — take their
+    closed form from the engine, bit-identical to simulating them.
+    Every other cell redraws the mapping ``trials`` times and averages
+    per-warp congestion, to ~3 decimal places at the default trial
+    count.
 
     ``engine`` distributes the trials of every cell over worker
     processes and (optionally) an on-disk cache; omitted, an ephemeral

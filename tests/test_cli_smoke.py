@@ -69,3 +69,8 @@ def test_table2_cache_warm_output_matches_cold(tmp_path):
     assert cold_table == warm_table
     assert "hit" in warm  # the warm run actually used the cache
     assert "Engine run stats" in cold  # --stats wiring works end to end
+    # Six cells are closed by proof at w=16; the three RAW ones run a
+    # single trial (see experiments.table2), the rest 100 each.
+    certified = "certified: 6 cells closed by proof (303 trials not simulated)"
+    assert certified in cold and certified in warm
+    assert "matrix:RAP/stride" not in cold

@@ -3,11 +3,17 @@
 import numpy as np
 import pytest
 
+import repro.sim.congestion_sim as congestion_sim
+from repro.access.patterns import PATTERN_NAMES
+from repro.core.congestion import congestion_batch
+from repro.core.mappings import sample_shift_batch
 from repro.sim.congestion_sim import (
     CongestionStats,
+    RunningStats,
     simulate_matrix_congestion,
     simulate_nd_congestion,
 )
+from repro.util.rng import as_generator
 
 
 class TestCongestionStats:
@@ -114,6 +120,76 @@ class TestMatrixSimMechanics:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             simulate_matrix_congestion("RAW", "stride", 8, trials=0)
+
+
+def per_warp_reference(mapping, pattern, w, trials, rng) -> RunningStats:
+    """Every warp through ``congestion_batch`` — no translation classes.
+
+    Same chunking and shift draws as ``_accumulate_matrix``, so the two
+    consume one RNG stream and must fold identical samples.
+    """
+    stats = RunningStats()
+    chunk = max(1, min(trials, congestion_sim._CHUNK_BYTES // (w * w * 8)))
+    ii, jj = congestion_sim.pattern_logical(pattern, w)
+    done = 0
+    while done < trials:
+        t = min(chunk, trials - done)
+        shifts = sample_shift_batch(mapping, w, t, rng)
+        addresses = ii * w + (jj + shifts[:, ii]) % w
+        stats.add(congestion_batch(addresses.reshape(-1, w), w))
+        stats.trials += t
+        done += t
+    return stats
+
+
+def accumulator_state(s: RunningStats) -> tuple:
+    return (s.n, s.mean, s.m2, s.minimum, s.maximum, s.trials)
+
+
+class TestTranslationClasses:
+    """One warp per translation class == every warp, bit for bit."""
+
+    @pytest.mark.parametrize("w", [3, 6, 8, 12])
+    @pytest.mark.parametrize("mapping", ["RAW", "RAS", "RAP"])
+    @pytest.mark.parametrize(
+        "pattern", [p for p in PATTERN_NAMES if p != "random"]
+    )
+    def test_state_bit_equal_to_per_warp_loop(
+        self, monkeypatch, pattern, mapping, w
+    ):
+        trials = 10
+        # Three trials per chunk: one call spans four chunks.
+        monkeypatch.setattr(congestion_sim, "_CHUNK_BYTES", 3 * w * w * 8)
+        got = congestion_sim._accumulate_matrix(
+            mapping, pattern, w, trials, as_generator(w)
+        )
+        want = per_warp_reference(mapping, pattern, w, trials, as_generator(w))
+        assert accumulator_state(got) == accumulator_state(want)
+
+    @pytest.mark.parametrize("mapping", ["RAS", "RAP"])
+    def test_mixed_classes_match_per_warp_loop(self, monkeypatch, mapping):
+        """Several multi-warp classes whose congestions differ.
+
+        No named pattern has that shape (each is one class, or every
+        warp has congestion 1), so this grid is the case that tells a
+        wrong class key or a wrong class-to-warp expansion apart.
+        """
+        w, trials = 12, 10
+        rng = as_generator(5)
+        base_ii = rng.integers(0, w, size=(4, w))
+        base_jj = rng.integers(0, w, size=(4, w))
+        pick = rng.integers(0, 4, size=w)
+        offset = rng.integers(0, w, size=(w, 1))
+        grids = base_ii[pick], (base_jj[pick] + offset) % w
+        monkeypatch.setattr(congestion_sim, "pattern_logical", lambda name, w: grids)
+        monkeypatch.setattr(congestion_sim, "_CHUNK_BYTES", 3 * w * w * 8)
+
+        got = congestion_sim._accumulate_matrix(
+            mapping, "mixed", w, trials, as_generator(1)
+        )
+        want = per_warp_reference(mapping, "mixed", w, trials, as_generator(1))
+        assert accumulator_state(got) == accumulator_state(want)
+        assert got.minimum < got.maximum  # the classes really differ
 
 
 class TestNDSim:

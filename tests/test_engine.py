@@ -266,6 +266,27 @@ class TestEngineInstrumentation:
 
     def test_summary_empty(self):
         assert "no shards" in RunStatsCollector().summary()
+        assert "certified" not in RunStatsCollector().summary()
+
+    def test_summary_counts_certified_cells(self):
+        collector = RunStatsCollector()
+        engine = MonteCarloEngine(collector=collector)
+        engine.matrix_congestion("RAS", "stride", 16, trials=32, seed=0)
+        engine.matrix_congestion("RAP", "stride", 16, trials=32, seed=0)
+        engine.matrix_congestion("RAW", "contiguous", 16, trials=5, seed=0)
+        out = collector.summary()
+        assert "certified: 2 cells closed by proof (37 trials not simulated)" in out
+        assert "matrix:RAS/stride/w=16" in out
+        assert "matrix:RAP/stride/w=16" not in out
+
+    def test_summary_all_certified_run(self):
+        collector = RunStatsCollector()
+        MonteCarloEngine(collector=collector).matrix_congestion(
+            "RAP", "contiguous", 16, trials=10, seed=0
+        )
+        out = collector.summary()
+        assert "Engine run stats: no shards executed" in out
+        assert "certified: 1 cells closed by proof (10 trials not simulated)" in out
 
 
 class TestSpawnedStreamsNeverOverlap:
