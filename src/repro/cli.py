@@ -56,12 +56,12 @@ Sweep orchestration:
 
 Options let the user trade runtime for precision (``--trials``), pin
 reproducibility (``--seed``), distribute Monte-Carlo trials over
-worker processes (``--workers``) or the lease-based sweep fabric
-(``--fabric workers=N``), and control the on-disk result cache
-(``--no-cache``; ``--stats`` prints the engine's throughput and
-cache counters, plus per-worker fabric accounting when --fabric is
-on).  For a fixed seed the printed numbers are bit-identical for
-every worker count, fabric spec, and cache state.
+worker processes (``--workers N``, shorthand for ``--fabric
+workers=N,backend=pool``; ``--fabric`` also picks the backend and
+lease knobs), and control the on-disk result cache (``--no-cache``;
+``--stats`` prints the engine's throughput, cache counters, and
+per-worker accounting).  For a fixed seed the printed numbers are
+bit-identical for every worker count, fabric spec, and cache state.
 
 Checkpoint/resume: ``--journal [PATH]`` makes the journal-aware
 experiments (``table2``, ``table4``, ``growth``, ``lemma1``) record
@@ -121,8 +121,8 @@ def _engine_from_args(args) -> "MonteCarloEngine":
     """The run's shared engine, built once from the CLI flags.
 
     Cached on the namespace so every experiment of an ``all`` run (and
-    the final ``--stats`` summary) shares one pool, one cache handle,
-    and one collector.
+    the final ``--stats`` summary) shares one set of workers, one cache
+    handle, and one collector.
     """
     engine = getattr(args, "_engine", None)
     if engine is None:
@@ -531,7 +531,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help=(
             "worker processes for Monte-Carlo trials (default 1 = serial; "
-            "0 = all cores).  Results are bit-identical for every value."
+            "0 = all cores); shorthand for --fabric workers=N,backend=pool.  "
+            "Results are bit-identical for every value."
         ),
     )
     parser.add_argument(
@@ -554,8 +555,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=_fabric_arg,
         default=None,
         help=(
-            "run Monte-Carlo shards on the distributed sweep fabric: "
-            "N lease-based work-stealing workers with failure detection "
+            "shard supervisor spec, overriding --workers: N lease-based "
+            "work-stealing workers with failure detection "
             "(e.g. 'workers=4' or 'workers=4,backend=pool'; backends: "
             "inproc, pool).  Results are bit-identical to "
             "--workers execution."

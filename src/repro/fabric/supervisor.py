@@ -1,10 +1,11 @@
-"""Lease-based shard coordination over N pluggable workers.
+"""The shard supervisor: lease-based coordination over N workers.
 
-:class:`FabricSupervisor` is the fabric's coordinator: it exposes the
-same ``run(body, payloads, label)`` interface as
-:class:`repro.resilience.supervisor.ShardSupervisor`, but instead of
-one shared process pool it drives N independent :class:`Worker`
-backends through a lease-based shard queue:
+:class:`FabricSupervisor` is the engine's one shard supervisor.  Every
+:class:`~repro.sim.engine.MonteCarloEngine` task hands its shard plan
+to ``run(body, payloads, label)``; ``workers=N`` builds it with
+``FabricSpec(workers=N, backend="pool")`` (``"inproc"`` for one
+worker) and ``--fabric`` with any spec.  It drives N independent
+:class:`Worker` backends through a lease-based shard queue:
 
 * **Leases.** A worker claims the lowest pending shard in its own
   partition (``shard % workers == worker_id``) first, then *steals*
@@ -14,8 +15,9 @@ backends through a lease-based shard queue:
   workers heartbeat; a worker silent for ``heartbeat_ticks`` is
   declared dead and its leases expire immediately.  Workers whose
   backend raises (``BrokenProcessPool``, an injected
-  :class:`~repro.resilience.faults.WorkerKilled`) are declared dead on
-  the spot.
+  :class:`~repro.resilience.faults.WorkerKilled`) or that overruns
+  ``policy.timeout`` on the wall clock are declared dead on the spot.
+  The next ``run`` rebuilds their backends (a recorded pool respawn).
 * **Fencing.**  A delivery is accepted only if the shard is still
   leased to that worker *at the same epoch* and the attempt was never
   orphaned.  A zombie — a stale worker finishing after its lease was
@@ -34,10 +36,12 @@ Determinism
 -----------
 All coordination — lease grants, heartbeat deadlines, steal choices,
 fault injection — runs in **virtual time**: an integer tick counter,
-never the wall clock.  A fault-free attempt costs one tick; ``slow``
-faults cost more; blackout windows are tick intervals.  The schedule
-is therefore a pure function of ``(shards, spec, plan, policy)``,
-which is what makes the chaos suite's counter assertions meaningful.
+never the wall clock (the one exception is the ``policy.timeout`` guard
+on a real subprocess, which only decides *that* a worker hung).  A
+fault-free attempt costs one tick; ``slow`` faults cost more; blackout
+windows are tick intervals.  The schedule is therefore a pure function
+of ``(shards, spec, plan, policy)``, which is what makes the chaos
+suite's counter assertions meaningful.
 Real execution is dispatched when an attempt's virtual cost elapses:
 every attempt completing on the same tick is submitted to its backend
 first and collected in worker-id order, so subprocess backends still
@@ -45,7 +49,7 @@ run in parallel.  Results themselves never depend on any of this —
 each shard re-derives its stream from its own ``SeedSequence``, so any
 schedule of crashes, stalls, steals, and fenced zombies yields results
 bit-identical to a fault-free run at any worker count (enforced by
-``tests/test_fabric.py``).
+``tests/test_fabric.py`` and ``tests/test_chaos.py``).
 
 Checkpointing
 -------------
@@ -75,8 +79,7 @@ from repro.fabric.workers import (
     open_envelope,
 )
 from repro.resilience.faults import FaultPlan, SimulatedTimeout, WorkerKilled
-from repro.resilience.policy import RetryPolicy
-from repro.resilience.supervisor import ShardFailure
+from repro.resilience.policy import RetryPolicy, ShardFailure
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.report.run_stats import RunStatsCollector
@@ -270,11 +273,10 @@ class _Slot:
 class FabricSupervisor:
     """The lease/steal coordinator (see the module docstring).
 
-    Drop-in for :class:`~repro.resilience.supervisor.ShardSupervisor`:
-    :class:`repro.sim.engine.MonteCarloEngine` selects it when built
-    with a ``fabric`` spec, and every engine task (congestion cells,
-    ``map_seeded``, ``map_trial_batches``) routes through
-    :meth:`run` unchanged.
+    Every :class:`repro.sim.engine.MonteCarloEngine` task (congestion
+    cells, ``map_seeded``, ``map_trial_batches``) routes through
+    :meth:`run`; ``repro.resilience.supervisor.ShardSupervisor`` names
+    this same class.
 
     Parameters
     ----------
@@ -308,6 +310,7 @@ class FabricSupervisor:
         self.plan = plan
         self.journal = journal
         self._backends: dict[int, Worker] = {}
+        self._dropped: set[int] = set()
 
     # -- lifecycle --------------------------------------------------------
 
@@ -315,26 +318,33 @@ class FabricSupervisor:
         if worker_id not in self._backends:
             self._backends[worker_id] = WORKER_BACKENDS[self.spec.backend](worker_id)
             self.collector.fabric_worker(worker_id, self.spec.backend)
+            if worker_id in self._dropped:
+                self._dropped.discard(worker_id)
+                self.collector.record_pool_respawn()
         return self._backends[worker_id]
 
     def _drop_backend(self, worker_id: int) -> None:
+        """Abandon a dead or hung worker without waiting for it."""
         backend = self._backends.pop(worker_id, None)
         if backend is not None:
             backend.close()
+            self._dropped.add(worker_id)
 
     def close(self) -> None:
-        """Close every worker backend (idempotent)."""
-        for worker_id in list(self._backends):
-            self._drop_backend(worker_id)
+        """Close every worker backend and reap its processes (idempotent)."""
+        backends, self._backends = self._backends, {}
+        self._dropped.clear()
+        for backend in backends.values():
+            backend.close(wait=True)
 
     # -- public -----------------------------------------------------------
 
     def run(self, body: Callable, payloads: Sequence, label: str) -> list:
         """Execute every payload through ``body``, in shard order.
 
-        Same contract as ``ShardSupervisor.run``: a list indexed like
-        ``payloads``; :class:`~repro.resilience.supervisor.ShardFailure`
-        (or :class:`ShardQuarantined`) when a shard cannot complete.
+        Returns a list indexed like ``payloads``; raises
+        :class:`~repro.resilience.policy.ShardFailure` (or
+        :class:`ShardQuarantined`) when a shard cannot complete.
         """
         n = len(payloads)
         if n == 0:
@@ -445,7 +455,10 @@ class FabricSupervisor:
                 shard = requeue(slot, fl)
                 if shard is not None:
                     self.collector.record_lease_expiry(slot.id)
-                    self._account_failure(label, shard, "worker-died", exc)
+                    reason = (
+                        "timeout" if isinstance(exc, FutureTimeout) else "worker-died"
+                    )
+                    self._account_failure(label, shard, reason, exc)
                 return
             except Exception as exc:
                 # The shard's own execution failed on this worker.

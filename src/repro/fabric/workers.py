@@ -13,19 +13,21 @@ Two backends implement the :class:`Worker` protocol:
 
 ``inproc`` — :class:`InProcessWorker`
     Executes in the coordinator's process at ``result()`` time.  The
-    fastest backend and the degradation target when every other worker
-    has died.
+    backend of a one-worker engine, and the degradation target when
+    every other worker has died.
 ``pool`` — :class:`PoolWorker`
-    One single-process ``ProcessPoolExecutor`` per worker, so a
+    One single-process ``ProcessPoolExecutor`` per worker (the backend
+    ``--workers N`` selects for ``N > 1``), so a
     ``kill_worker`` fault (``os._exit`` in the subprocess) kills *that
     worker only* — the failure isolation a multi-host fabric would
     have, on one machine.
 
 Every backend funnels through module-level
 :func:`execute_fabric_call`, the single choke point where worker-level
-faults (``kill_worker``, ``corrupt_result``) and the PR-5 shard faults
-are injected — the same single-choke-point design that makes chaos
-schedules uniform across worker counts and backends.
+faults (``kill_worker``, ``corrupt_result``) and the shard faults
+(``crash``, ``delay``, ``break_pool``) are injected — the single
+choke point that makes chaos schedules uniform across worker counts
+and backends.
 """
 
 from __future__ import annotations
@@ -69,10 +71,9 @@ def decode_result(text: str) -> Any:
 class FabricCall:
     """One shard attempt, addressed to one worker.
 
-    Picklable in full (``body`` must be a module-level callable, the
-    same constraint the pool supervisor imposes) so any backend —
-    in-process, subprocess, or wire-serialized — receives the identical
-    work description.
+    Picklable in full (``body`` must be a module-level callable) so any
+    backend — in-process or subprocess — receives the identical work
+    description.
 
     Attributes
     ----------
@@ -152,7 +153,7 @@ def execute_fabric_call(call: FabricCall, in_subprocess: bool) -> dict:
     Worker faults fire first: a matching ``kill_worker`` exits the
     subprocess hard (breaking its pool, as a real worker death would)
     or raises :class:`~repro.resilience.faults.WorkerKilled` for
-    backends living in the coordinator's process.  Then the PR-5 shard
+    backends living in the coordinator's process.  Then the shard
     faults are injected, then the body runs, and the result is sealed
     (which is where ``corrupt_result`` faults apply).
     """
@@ -192,8 +193,12 @@ class Worker(Protocol):
         """Block for the outstanding call's envelope."""
         ...  # pragma: no cover
 
-    def close(self) -> None:
-        """Release the backend's resources (idempotent)."""
+    def close(self, wait: bool = False) -> None:
+        """Release the backend's resources (idempotent).
+
+        ``wait=True`` also reaps any subprocess; the default abandons
+        it, which is how a dead or hung worker is dropped mid-run.
+        """
         ...  # pragma: no cover
 
 
@@ -219,7 +224,7 @@ class InProcessWorker:
         call, self._pending = self._pending, None
         return execute_fabric_call(call, in_subprocess=False)
 
-    def close(self) -> None:
+    def close(self, wait: bool = False) -> None:
         """Drop any pending call (nothing else to release)."""
         self._pending = None
 
@@ -260,10 +265,14 @@ class PoolWorker:
         future, self._future = self._future, None
         return future.result(timeout=timeout)
 
-    def close(self) -> None:
-        """Shut the subprocess pool down without draining its queue."""
+    def close(self, wait: bool = False) -> None:
+        """Shut the subprocess pool down without draining its queue.
+
+        With ``wait=True`` the call returns once the subprocess has
+        exited and been reaped.
+        """
         if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
+            self._pool.shutdown(wait=wait, cancel_futures=True)
             self._pool = None
 
 

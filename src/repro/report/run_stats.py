@@ -125,18 +125,18 @@ class RunStatsCollector:
         else:
             self.cache_misses += 1
 
-    # -- resilience events (see repro.resilience.supervisor) -------------
+    # -- resilience events (see repro.fabric.supervisor) -----------------
 
     def record_retry(self, task: str, shard: int, reason: str) -> None:
         """One shard attempt failed and was retried."""
         self.retries.append(RetryRecord(task, shard, reason))
 
     def record_pool_respawn(self) -> None:
-        """A BrokenProcessPool was recovered by rebuilding the pool."""
+        """A worker dropped by an earlier task was rebuilt for a new one."""
         self.pool_respawns += 1
 
     def record_degraded(self) -> None:
-        """Pool recovery gave up; a run finished serially in-process."""
+        """Every worker died; a run finished on the in-process fallback."""
         self.degraded_runs += 1
 
     # -- fabric events (see repro.fabric.supervisor) ----------------------
@@ -185,8 +185,9 @@ class RunStatsCollector:
 
         Note: execution-fault retries are worker-count-independent for
         a fixed fault schedule (enforced by ``tests/test_chaos.py``);
-        ``pool_respawns``/``degraded_runs`` are infrastructure events
-        that only exist when a pool does.
+        ``"worker-died"`` retries, ``pool_respawns`` and
+        ``degraded_runs`` are infrastructure events that only exist
+        when subprocess workers do.
         """
         counts: dict[str, int] = {}
         for record in self.retries:

@@ -1,21 +1,24 @@
 """Fault-tolerant execution layer for the Monte-Carlo engine.
 
 The paper bounds congestion under *malicious* access patterns; this
-package bounds the damage of *execution-level* faults — crashed pool
-workers, hung shards, broken pools, torn cache writes, interrupted
+package bounds the damage of *execution-level* faults — killed
+workers, crashed or hung shards, torn cache writes, interrupted
 sweeps — while preserving the repository's load-bearing contract:
 
 > a fixed seed produces bit-identical results for every worker count,
 > every cache state, **and every recoverable fault schedule**.
 
+The supervisor that enforces it lives in :mod:`repro.fabric`
+(:class:`~repro.fabric.FabricSupervisor`, the one shard supervisor for
+every worker count); this package holds its retry policy, the chaos
+harness that tests it, and the sweep journal.
+
 Modules
 -------
 :mod:`repro.resilience.policy`
     :class:`RetryPolicy` — retries, per-shard timeouts, exponential
-    backoff with deterministic jitter, pool-respawn budget.
-:mod:`repro.resilience.supervisor`
-    :class:`ShardSupervisor` — the supervised execution loop used by
-    :class:`repro.sim.engine.MonteCarloEngine`.
+    backoff with deterministic jitter — and :class:`ShardFailure`, the
+    error a shard raises once that budget is spent.
 :mod:`repro.resilience.faults`
     The deterministic chaos harness: :class:`FaultPlan` schedules and
     the builtin plans the property tests run.
@@ -46,8 +49,7 @@ from repro.resilience.journal import (
     tail_records,
     verify_journal,
 )
-from repro.resilience.policy import RetryPolicy, deterministic_jitter
-from repro.resilience.supervisor import ShardFailure, ShardSupervisor
+from repro.resilience.policy import RetryPolicy, ShardFailure, deterministic_jitter
 
 __all__ = [
     "BUILTIN_FAULT_PLANS",
@@ -61,7 +63,6 @@ __all__ = [
     "RetryPolicy",
     "ShardFailure",
     "ShardFault",
-    "ShardSupervisor",
     "SimulatedTimeout",
     "SweepJournal",
     "WorkerFault",

@@ -11,8 +11,9 @@ which is what lets the property tests assert the recovery contract:
 > final :class:`~repro.sim.congestion_sim.CongestionStats` are
 > **bit-identical** to the fault-free run, at every worker count.
 
-Shard faults are injected by the supervised shard wrapper (in the
-worker process for pool mode, in-process for serial mode); cache
+Shard faults are injected by the supervisor's single call path,
+:func:`repro.fabric.workers.execute_fabric_call` (in the worker
+subprocess for the ``pool`` backend, in-process for ``inproc``); cache
 faults are injected by :meth:`repro.sim.cache.ResultCache.put`.
 
 Fault kinds
@@ -20,17 +21,17 @@ Fault kinds
 ``crash``
     The shard raises :class:`InjectedCrash` before doing any work.
 ``delay``
-    The shard sleeps ``delay`` seconds before doing its work.  In pool
-    mode this trips the supervisor's real ``future.result`` timeout;
-    in serial mode (which cannot preempt in-process work) a delay
-    longer than the policy timeout raises :class:`SimulatedTimeout`
-    instead of sleeping, so the retry schedule is identical across
-    worker counts.
+    The shard sleeps ``delay`` seconds before doing its work.  In a
+    subprocess worker this trips the supervisor's real wall-clock
+    timeout; in-process (which cannot be preempted) a delay longer
+    than the policy timeout raises :class:`SimulatedTimeout` instead
+    of sleeping.  Both count as one ``"timeout"`` retry, so the retry
+    schedule is identical across worker counts.
 ``break_pool``
-    The worker process exits hard (``os._exit``), breaking the whole
-    ``ProcessPoolExecutor`` — every outstanding future fails with
-    ``BrokenProcessPool`` and the supervisor must respawn the pool.
-    In serial mode there is no pool to break, so the fault is a no-op.
+    The worker subprocess exits hard (``os._exit``), breaking its
+    ``ProcessPoolExecutor``: the supervisor declares that worker dead
+    (a ``"worker-died"`` retry) and rebuilds it for the next task.
+    In-process there is no pool to break, so the fault is a no-op.
 
 Cache faults are put-indexed (the Nth ``put`` of the cache instance):
 ``tear_puts`` simulates a torn non-atomic write (a truncated JSON file
@@ -97,7 +98,7 @@ class InjectedCrash(InjectedFault):
 
 
 class SimulatedTimeout(InjectedFault):
-    """A scheduled delay surfacing as a timeout in serial mode."""
+    """A scheduled delay surfacing as a timeout in an in-process worker."""
 
 
 class WorkerKilled(InjectedFault):
@@ -228,8 +229,8 @@ class FaultPlan:
         0-based cache ``put`` indices whose entry is overwritten with
         garbage bytes *after* a successful atomic write.
     worker_faults:
-        Worker-level faults consumed by the fabric coordinator
-        (:mod:`repro.fabric`); the single-pool supervisor ignores them.
+        Worker-level faults consumed by the shard supervisor
+        (:mod:`repro.fabric`) at every worker count.
     kill_coordinator_after:
         When set, the fabric coordinator raises
         :class:`~repro.fabric.CoordinatorKilled` after this many shard
@@ -305,10 +306,10 @@ def inject_shard_fault(
 ) -> None:
     """Apply the scheduled fault for ``(shard, attempt)``, if any.
 
-    Called by the supervised shard wrapper immediately before the
-    shard body runs — in the worker process for pool mode
-    (``in_pool=True``), in-process for serial mode.  See the module
-    docstring for per-kind semantics.
+    Called by :func:`repro.fabric.workers.execute_fabric_call`
+    immediately before the shard body runs — in the worker subprocess
+    (``in_pool=True``) or in-process.  See the module docstring for
+    per-kind semantics.
     """
     if plan is None:
         return
@@ -327,8 +328,8 @@ def inject_shard_fault(
             )
         time.sleep(fault.delay)
         return
-    # break_pool: only a pool can break.  Serial mode has no worker
-    # process to kill, so the fault degrades to a no-op there.
+    # break_pool: only a pool can break.  In-process there is no
+    # worker process to kill, so the fault degrades to a no-op there.
     if in_pool:
         os._exit(13)
 
@@ -342,8 +343,8 @@ BUILTIN_FAULT_PLANS: dict[str, FaultPlan] = {
         shard_faults=(ShardFault(kind="crash", shard=1, attempts=(0, 1)),),
     ),
     # Pair with a policy whose per-shard timeout is < 2.5s (the chaos
-    # tests use timeout=1.0): pool mode trips the real future timeout,
-    # serial mode raises the simulated one.
+    # tests use timeout=1.0): a subprocess worker trips the real
+    # timeout, an in-process one raises the simulated one.
     "shard-timeout": FaultPlan(
         name="shard-timeout",
         shard_faults=(ShardFault(kind="delay", shard=2, attempts=(0,), delay=2.5),),

@@ -389,8 +389,8 @@ class Table3Result:
 def _table3_combo(item: tuple, rng) -> tuple:
     """One (algorithm, mapping) cell of Table III — engine worker body.
 
-    Module-level so the parallel engine can dispatch combos to a
-    process pool; the rng it receives is the combo's own spawned child,
+    Module-level so the parallel engine can dispatch combos to worker
+    subprocesses; the rng it receives is the combo's own spawned child,
     making the result independent of which worker ran it.
     """
     algorithm, mapping_name, w, trials, latency = item
@@ -672,8 +672,8 @@ def app_time_sweep(
     for benchmarking and cross-validation).  ``skeleton_seed`` fixes
     the app's input data; the program *skeleton* (grids and masks) is
     mapping-independent, which is what makes batching across draws
-    possible.  ``fabric`` selects the distributed sweep fabric for the
-    default engine (ignored when ``engine`` is supplied).
+    possible.  ``fabric`` sets the default engine's worker spec
+    (ignored when ``engine`` is supplied).
     """
     engine = engine or MonteCarloEngine(fabric=fabric)
     cells = [(app, mapping) for app in apps for mapping in mappings]

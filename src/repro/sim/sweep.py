@@ -89,10 +89,9 @@ def growth_sweep(
     of recomputing, so a resumed sweep is bit-identical to a fresh one.
 
     ``fabric`` (a :class:`~repro.fabric.FabricSpec` or spec string)
-    runs each point's shards on the distributed sweep fabric instead
-    of one process pool — same shard plan, bit-identical results.
-    Ignored when an ``engine`` is supplied (the engine's own fabric
-    setting wins).
+    sets the default engine's worker spec — same shard plan,
+    bit-identical results.  Ignored when an ``engine`` is supplied
+    (the engine's own spec wins).
     """
     engine = engine or MonteCarloEngine(fabric=fabric)
     sweep = GrowthSweep(pattern=pattern, widths=tuple(widths))

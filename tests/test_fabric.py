@@ -100,9 +100,11 @@ def test_backends_bit_identical(backend, baseline):
 
 
 def test_fabric_matches_shard_supervisor_engine(baseline):
-    """A fabric engine and the classic pool engine agree bit for bit —
-    the fabric is a drop-in, not a different experiment."""
+    """An engine built with the ``workers=N`` shorthand runs the pool
+    fabric and agrees bit for bit with an explicit fabric spec — the
+    fabric is a drop-in, not a different experiment."""
     with MonteCarloEngine(workers=2, cache=None) as engine:
+        assert engine.fabric == FabricSpec(workers=2, backend="pool")
         pooled = engine.matrix_congestion(**TASK)
     fabric, _ = run_fabric(None, workers=4)
     assert pooled == baseline == fabric

@@ -13,6 +13,7 @@ import os
 
 import pytest
 
+from repro.fabric import FabricSpec, FabricSupervisor
 from repro.report.run_stats import RunStatsCollector
 from repro.resilience import (
     FaultPlan,
@@ -21,7 +22,6 @@ from repro.resilience import (
     RetryPolicy,
     ShardFailure,
     ShardFault,
-    ShardSupervisor,
     SweepJournal,
     builtin_fault_plan,
     deterministic_jitter,
@@ -55,8 +55,6 @@ def test_policy_validation():
         RetryPolicy(max_retries=-1)
     with pytest.raises(ValueError):
         RetryPolicy(timeout=0.0)
-    with pytest.raises(ValueError):
-        RetryPolicy(max_pool_respawns=-1)
 
 
 def test_policy_wait_uses_injectable_sleep():
@@ -316,12 +314,16 @@ def _fast_policy(**overrides) -> RetryPolicy:
     return RetryPolicy(timeout=1.0, sleep=lambda s: None, **overrides)
 
 
+def _serial_supervisor(policy, collector, plan=None) -> FabricSupervisor:
+    return FabricSupervisor(
+        spec=FabricSpec(workers=1), policy=policy, collector=collector, plan=plan
+    )
+
+
 def test_supervisor_serial_retries_then_succeeds():
     plan = FaultPlan(shard_faults=(ShardFault(kind="crash", shard=1, attempts=(0, 1)),))
     collector = RunStatsCollector()
-    supervisor = ShardSupervisor(
-        workers=1, policy=_fast_policy(), collector=collector, plan=plan
-    )
+    supervisor = _serial_supervisor(_fast_policy(), collector, plan)
     assert supervisor.run(_double, [1, 2, 3], "unit") == [2, 4, 6]
     assert collector.retry_counts == {"crash": 2}
     assert [r.shard for r in collector.retries] == [1, 1]
@@ -332,9 +334,7 @@ def test_supervisor_exhausted_retries_raise_shard_failure():
         shard_faults=(ShardFault(kind="crash", shard=0, attempts=(0, 1, 2)),)
     )
     collector = RunStatsCollector()
-    supervisor = ShardSupervisor(
-        workers=1, policy=_fast_policy(max_retries=2), collector=collector, plan=plan
-    )
+    supervisor = _serial_supervisor(_fast_policy(max_retries=2), collector, plan)
     with pytest.raises(ShardFailure) as info:
         supervisor.run(_double, [1, 2], "unit")
     assert info.value.shard == 0
@@ -346,17 +346,25 @@ def test_supervisor_serial_simulated_timeout_counts_as_timeout():
         shard_faults=(ShardFault(kind="delay", shard=0, attempts=(0,), delay=5.0),)
     )
     collector = RunStatsCollector()
-    supervisor = ShardSupervisor(
-        workers=1, policy=_fast_policy(), collector=collector, plan=plan
-    )
+    supervisor = _serial_supervisor(_fast_policy(), collector, plan)
     assert supervisor.run(_double, [7], "unit") == [14]
     assert collector.retry_counts == {"timeout": 1}
 
 
+def test_shard_supervisor_is_the_one_supervisor():
+    from repro.resilience.supervisor import ShardSupervisor
+    from repro.sim.engine import MonteCarloEngine
+
+    assert ShardSupervisor is FabricSupervisor
+    with MonteCarloEngine(workers=1, cache=None) as engine:
+        assert engine.fabric == FabricSpec(workers=1, backend="inproc")
+        for gone in ("_pool", "_get_pool", "_respawn_pool"):
+            assert not hasattr(engine, gone)
+    assert "max_pool_respawns" not in RetryPolicy.__dataclass_fields__
+
+
 def test_supervisor_empty_payloads():
-    supervisor = ShardSupervisor(
-        workers=1, policy=_fast_policy(), collector=RunStatsCollector()
-    )
+    supervisor = _serial_supervisor(_fast_policy(), RunStatsCollector())
     assert supervisor.run(_double, [], "unit") == []
 
 
