@@ -51,17 +51,16 @@ Sweep orchestration:
 
 * ``sweep-all`` — every journal-aware sweep (table2, table4, growth,
   lemma1) back to back with checkpoint journals always on; rerunning
-  resumes byte-identically (``python -m repro sweep-all --fabric
-  workers=4``).
+  resumes byte-identically (``python -m repro sweep-all --workers
+  4``).
 
 Options let the user trade runtime for precision (``--trials``), pin
 reproducibility (``--seed``), distribute Monte-Carlo trials over
-worker processes (``--workers N``, shorthand for ``--fabric
-workers=N,backend=pool``; ``--fabric`` also picks the backend and
-lease knobs), and control the on-disk result cache (``--no-cache``;
+worker processes (``--workers N``, the shard supervisor's only
+setting), and control the on-disk result cache (``--no-cache``;
 ``--stats`` prints the engine's throughput, cache counters, and
 per-worker accounting).  For a fixed seed the printed numbers are
-bit-identical for every worker count, fabric spec, and cache state.
+bit-identical for every worker count and cache state.
 
 Checkpoint/resume: ``--journal [PATH]`` makes the journal-aware
 experiments (``table2``, ``table4``, ``growth``, ``lemma1``) record
@@ -107,16 +106,6 @@ def _workers_arg(value: str) -> int:
     return workers
 
 
-def _fabric_arg(value: str) -> "FabricSpec":
-    """argparse type for ``--fabric``: a parsed, validated fabric spec."""
-    from repro.fabric import parse_fabric_spec
-
-    try:
-        return parse_fabric_spec(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 def _engine_from_args(args) -> "MonteCarloEngine":
     """The run's shared engine, built once from the CLI flags.
 
@@ -140,7 +129,6 @@ def _engine_from_args(args) -> "MonteCarloEngine":
             workers=getattr(args, "workers", 1),
             cache=cache,
             faults=faults,
-            fabric=getattr(args, "fabric", None),
         )
         args._engine = engine
     return engine
@@ -530,8 +518,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=_workers_arg,
         default=1,
         help=(
-            "worker processes for Monte-Carlo trials (default 1 = serial; "
-            "0 = all cores); shorthand for --fabric workers=N,backend=pool.  "
+            "shard supervisor workers for Monte-Carlo trials (default 1 = "
+            "in-process; N > 1 = one subprocess each; 0 = all cores).  "
             "Results are bit-identical for every value."
         ),
     )
@@ -548,19 +536,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print engine run statistics (shard timings, trials/sec, "
         "cache hits) after the experiment output",
-    )
-    parser.add_argument(
-        "--fabric",
-        metavar="SPEC",
-        type=_fabric_arg,
-        default=None,
-        help=(
-            "shard supervisor spec, overriding --workers: N lease-based "
-            "work-stealing workers with failure detection "
-            "(e.g. 'workers=4' or 'workers=4,backend=pool'; backends: "
-            "inproc, pool).  Results are bit-identical to "
-            "--workers execution."
-        ),
     )
     parser.add_argument(
         "--chaos",
@@ -749,8 +724,8 @@ def _sweep_all_main(argv: Sequence[str]) -> int:
     Runs ``table2``, ``table4``, ``growth``, and ``lemma1`` with
     per-experiment journals (always on), so an interrupted pass —
     Ctrl-C, OOM, a killed coordinator — picks up where it left off and
-    prints output byte-identical to an uninterrupted run.  ``--fabric``
-    executes every sweep's shards on the distributed fabric.
+    prints output byte-identical to an uninterrupted run.  ``--workers``
+    sets the shard supervisor's worker count for every sweep.
     """
     parser = argparse.ArgumentParser(
         prog="rap-repro sweep-all",
@@ -758,8 +733,8 @@ def _sweep_all_main(argv: Sequence[str]) -> int:
             "Run every journal-aware sweep (table2, table4, growth, "
             "lemma1) back to back with checkpoint journals always on; "
             "rerunning resumes from the journals byte-identically.  "
-            "--fabric distributes each sweep over lease-based "
-            "work-stealing workers."
+            "--workers N distributes each sweep's shards over N "
+            "lease-based work-stealing workers."
         ),
     )
     parser.add_argument("--trials", type=int, default=1000)
@@ -769,13 +744,11 @@ def _sweep_all_main(argv: Sequence[str]) -> int:
     )
     parser.add_argument("--w4", type=int, default=32)
     parser.add_argument("--format", choices=("ascii", "md"), default="ascii")
-    parser.add_argument("--workers", type=_workers_arg, default=1)
     parser.add_argument(
-        "--fabric",
-        metavar="SPEC",
-        type=_fabric_arg,
-        default=None,
-        help="fabric spec, e.g. 'workers=4' or 'workers=4,backend=pool'",
+        "--workers",
+        type=_workers_arg,
+        default=1,
+        help="shard supervisor workers (default 1; 0 = all cores)",
     )
     parser.add_argument("--no-cache", action="store_true")
     parser.add_argument("--stats", action="store_true")

@@ -1,12 +1,14 @@
-"""The shard supervisor: N pluggable workers, lease-based stealing.
+"""The shard supervisor: N workers, lease-based stealing.
 
 Every Monte-Carlo task of :class:`~repro.sim.engine.MonteCarloEngine`
 runs its shard plan through :class:`~repro.fabric.supervisor.FabricSupervisor`,
-the engine's one supervisor.  It drives N independent workers behind
-the :class:`~repro.fabric.workers.Worker` protocol — in-process, or one
-single-process subprocess pool per worker — through a lease-based
-shard queue with heartbeat failure detection, work stealing, epoch
-fencing, poisoned-shard quarantine, and journal checkpointing.  The
+the engine's one supervisor.  Its only setting is the worker count:
+``MonteCarloEngine(workers=N)`` (``--workers N`` on the CLI) runs one
+in-process worker for ``N == 1`` and N single-process subprocess pools
+otherwise.  It drives them through a lease-based shard queue with
+heartbeat failure detection, work stealing, epoch fencing,
+poisoned-shard quarantine, and journal checkpointing; the lease,
+heartbeat and quarantine thresholds are fixed constants.  The
 load-bearing contract:
 
 > any schedule of worker crashes, stalls, blackouts, and corrupt
@@ -14,30 +16,21 @@ load-bearing contract:
 > every worker count — and a killed coordinator resumes from its
 > journal byte-for-byte.
 
-``MonteCarloEngine(workers=N)`` (``--workers N`` on the CLI) is
-shorthand for ``FabricSpec(workers=N, backend="pool")``, or
-``backend="inproc"`` when ``N == 1``.  An explicit spec —
-``MonteCarloEngine(fabric="workers=4,backend=inproc")`` or ``--fabric``
-— takes precedence and also sets the lease knobs; see
-``docs/ENGINE.md`` ("Shard supervision").
+See ``docs/ENGINE.md`` ("Shard supervision").
 """
 
 from repro.fabric.supervisor import (
     CoordinatorKilled,
     CorruptResult,
-    FabricSpec,
     FabricStalled,
     FabricSupervisor,
     LeaseLost,
     ShardQuarantined,
-    parse_fabric_spec,
 )
 from repro.fabric.workers import (
-    WORKER_BACKENDS,
     FabricCall,
     InProcessWorker,
     PoolWorker,
-    Worker,
     decode_result,
     encode_result,
     execute_fabric_call,
@@ -49,19 +42,15 @@ __all__ = [
     "CoordinatorKilled",
     "CorruptResult",
     "FabricCall",
-    "FabricSpec",
     "FabricStalled",
     "FabricSupervisor",
     "InProcessWorker",
     "LeaseLost",
     "PoolWorker",
     "ShardQuarantined",
-    "WORKER_BACKENDS",
-    "Worker",
     "decode_result",
     "encode_result",
     "execute_fabric_call",
     "open_envelope",
-    "parse_fabric_spec",
     "seal_envelope",
 ]

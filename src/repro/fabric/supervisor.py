@@ -2,17 +2,20 @@
 
 :class:`FabricSupervisor` is the engine's one shard supervisor.  Every
 :class:`~repro.sim.engine.MonteCarloEngine` task hands its shard plan
-to ``run(body, payloads, label)``; ``workers=N`` builds it with
-``FabricSpec(workers=N, backend="pool")`` (``"inproc"`` for one
-worker) and ``--fabric`` with any spec.  It drives N independent
-:class:`Worker` backends through a lease-based shard queue:
+to ``run(body, payloads, label)``.  The worker count is its only
+setting: ``workers == 1`` runs one
+:class:`~repro.fabric.workers.InProcessWorker`, ``workers > 1`` runs
+that many :class:`~repro.fabric.workers.PoolWorker` subprocesses.  It
+drives them through a lease-based shard queue whose shape is fixed by
+three module constants (:data:`LEASE_TICKS`, :data:`HEARTBEAT_TICKS`,
+:data:`QUARANTINE_AFTER`):
 
 * **Leases.** A worker claims the lowest pending shard in its own
   partition (``shard % workers == worker_id``) first, then *steals*
   the lowest pending shard overall.  Every claim bumps the shard's
-  **epoch** and grants a lease that expires ``lease_ticks`` later.
+  **epoch** and grants a lease that expires ``LEASE_TICKS`` later.
 * **Heartbeats and failure detection.**  Each virtual tick, live
-  workers heartbeat; a worker silent for ``heartbeat_ticks`` is
+  workers heartbeat; a worker silent for ``HEARTBEAT_TICKS`` is
   declared dead and its leases expire immediately.  Workers whose
   backend raises (``BrokenProcessPool``, an injected
   :class:`~repro.resilience.faults.WorkerKilled`) or that overruns
@@ -27,7 +30,7 @@ worker) and ``--fabric`` with any spec.  It drives N independent
   (with the policy's deterministic backoff).  Failures *caused by the
   shard itself* (crashes, corrupt results — not worker deaths) are
   attributed to the worker they ran on; a shard that fails on
-  ``quarantine_after`` distinct workers is poisoned and raises
+  ``QUARANTINE_AFTER`` distinct workers is poisoned and raises
   :class:`ShardQuarantined` instead of being retried forever.
 * **Degradation.**  If every worker has died, the remaining shards run
   serially on an in-process fallback worker — the run still completes.
@@ -40,7 +43,7 @@ never the wall clock (the one exception is the ``policy.timeout`` guard
 on a real subprocess, which only decides *that* a worker hung).  A
 fault-free attempt costs one tick; ``slow`` faults cost more; blackout
 windows are tick intervals.  The schedule is therefore a pure function
-of ``(shards, spec, plan, policy)``, which is what makes the chaos
+of ``(shards, workers, plan, policy)``, which is what makes the chaos
 suite's counter assertions meaningful.
 Real execution is dispatched when an attempt's virtual cost elapses:
 every attempt completing on the same tick is submitted to its backend
@@ -63,17 +66,15 @@ replayed and recomputed shards carry the same bits.
 
 from __future__ import annotations
 
-import re
 from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.fabric.workers import (
-    WORKER_BACKENDS,
     FabricCall,
     InProcessWorker,
-    Worker,
+    PoolWorker,
     decode_result,
     encode_result,
     open_envelope,
@@ -88,13 +89,21 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "CoordinatorKilled",
     "CorruptResult",
-    "FabricSpec",
     "FabricStalled",
     "FabricSupervisor",
+    "HEARTBEAT_TICKS",
+    "LEASE_TICKS",
     "LeaseLost",
+    "QUARANTINE_AFTER",
     "ShardQuarantined",
-    "parse_fabric_spec",
 ]
+
+#: Virtual ticks a lease lasts before its shard may be stolen.
+LEASE_TICKS = 4
+#: Ticks without a heartbeat before a worker is declared dead.
+HEARTBEAT_TICKS = 2
+#: Distinct workers a shard must fail on to be quarantined.
+QUARANTINE_AFTER = 3
 
 
 class CoordinatorKilled(RuntimeError):
@@ -127,7 +136,7 @@ class LeaseLost(RuntimeError):
 
 
 class ShardQuarantined(ShardFailure):
-    """A poisoned shard: it failed on ``quarantine_after`` distinct
+    """A poisoned shard: it failed on ``QUARANTINE_AFTER`` distinct
     workers, so the fault travels with the shard, not the worker.
     Reported (with the workers it failed on) instead of burning the
     whole retry budget on every worker in turn.
@@ -153,86 +162,6 @@ class ShardQuarantined(ShardFailure):
             f"{len(failed_workers)} distinct workers {failed_workers} "
             f"({attempts} attempt(s)); last error: {cause!r}",
         )
-
-
-@dataclass(frozen=True)
-class FabricSpec:
-    """Shape of one fabric: how many workers, which backend, what leases.
-
-    Attributes
-    ----------
-    workers:
-        Number of fabric workers (each one backend instance).
-    backend:
-        Backend name from
-        :data:`repro.fabric.workers.WORKER_BACKENDS`.
-    lease_ticks:
-        Virtual ticks a lease lasts before the shard may be stolen.
-    heartbeat_ticks:
-        Missed-heartbeat threshold (in ticks) before a worker is
-        declared dead.
-    quarantine_after:
-        Distinct workers a shard must fail on to be quarantined.
-    """
-
-    workers: int = 2
-    backend: str = "inproc"
-    lease_ticks: int = 4
-    heartbeat_ticks: int = 2
-    quarantine_after: int = 3
-
-    def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.backend not in WORKER_BACKENDS:
-            raise ValueError(
-                f"unknown backend {self.backend!r}; one of "
-                f"{', '.join(sorted(WORKER_BACKENDS))}"
-            )
-        for name in ("lease_ticks", "heartbeat_ticks", "quarantine_after"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-
-
-_SPEC_KEYS = {
-    "workers": ("workers", int),
-    "backend": ("backend", str),
-    "lease": ("lease_ticks", int),
-    "heartbeat": ("heartbeat_ticks", int),
-    "quarantine": ("quarantine_after", int),
-}
-
-
-def parse_fabric_spec(text: str | None) -> FabricSpec:
-    """Parse a ``--fabric`` spec string into a :class:`FabricSpec`.
-
-    Accepts ``"workers=4"``, ``"workers=4,backend=pool"``, a bare
-    worker count (``"4"``), or empty/None for the defaults.  Keys:
-    ``workers``, ``backend``, ``lease``, ``heartbeat``, ``quarantine``.
-    """
-    if text is None or not text.strip():
-        return FabricSpec()
-    text = text.strip()
-    if re.fullmatch(r"\d+", text):
-        return FabricSpec(workers=int(text))
-    fields: dict = {}
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        key, sep, value = part.partition("=")
-        key = key.strip()
-        if not sep or key not in _SPEC_KEYS:
-            raise ValueError(
-                f"bad fabric spec item {part!r}; expected key=value with key "
-                f"one of {', '.join(sorted(_SPEC_KEYS))}"
-            )
-        attr, cast = _SPEC_KEYS[key]
-        try:
-            fields[attr] = cast(value.strip())
-        except ValueError:
-            raise ValueError(f"bad fabric spec value {part!r}") from None
-    return FabricSpec(**fields)
 
 
 # -- internal per-run state ------------------------------------------------
@@ -263,7 +192,7 @@ class _Inflight:
 @dataclass
 class _Slot:
     id: int
-    backend: Worker
+    backend: InProcessWorker | PoolWorker
     alive: bool = True
     killed: bool = False
     last_heartbeat: int = 0
@@ -280,8 +209,9 @@ class FabricSupervisor:
 
     Parameters
     ----------
-    spec:
-        The :class:`FabricSpec` (worker count, backend, lease shape).
+    workers:
+        Worker count (>= 1): one in-process worker for ``1``, else one
+        single-process subprocess pool per worker.
     policy:
         Per-shard retry/backoff/timeout budget; ``policy.timeout`` is
         also the *real* wall-clock guard on each backend collect.
@@ -298,26 +228,29 @@ class FabricSupervisor:
 
     def __init__(
         self,
-        spec: FabricSpec,
+        workers: int,
         policy: RetryPolicy,
         collector: "RunStatsCollector",
         plan: FaultPlan | None = None,
         journal: "SweepJournal | None" = None,
     ) -> None:
-        self.spec = spec
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
+        self.workers = workers
+        self._worker_cls = InProcessWorker if workers == 1 else PoolWorker
         self.policy = policy
         self.collector = collector
         self.plan = plan
         self.journal = journal
-        self._backends: dict[int, Worker] = {}
+        self._backends: dict[int, InProcessWorker | PoolWorker] = {}
         self._dropped: set[int] = set()
 
     # -- lifecycle --------------------------------------------------------
 
-    def _backend(self, worker_id: int) -> Worker:
+    def _backend(self, worker_id: int) -> InProcessWorker | PoolWorker:
         if worker_id not in self._backends:
-            self._backends[worker_id] = WORKER_BACKENDS[self.spec.backend](worker_id)
-            self.collector.fabric_worker(worker_id, self.spec.backend)
+            self._backends[worker_id] = self._worker_cls(worker_id)
+            self.collector.fabric_worker(worker_id, self._worker_cls.kind)
             if worker_id in self._dropped:
                 self._dropped.discard(worker_id)
                 self.collector.record_pool_respawn()
@@ -362,7 +295,7 @@ class FabricSupervisor:
                     results[shard.index] = decode_result(recorded)
                     shard.status = _DONE
 
-        slots = [_Slot(w, self._backend(w)) for w in range(self.spec.workers)]
+        slots = [_Slot(w, self._backend(w)) for w in range(self.workers)]
         completions = 0
         tick = 0
         # Generous stall budget: every recoverable schedule terminates
@@ -529,7 +462,7 @@ class FabricSupervisor:
             for slot in slots:
                 if slot.killed or not slot.alive:
                     continue
-                if tick - slot.last_heartbeat >= self.spec.heartbeat_ticks:
+                if tick - slot.last_heartbeat >= HEARTBEAT_TICKS:
                     slot.alive = False
                     self.collector.record_worker_death(slot.id)
                     expire_lease(
@@ -574,7 +507,7 @@ class FabricSupervisor:
                 shard.status = _LEASED
                 shard.owner = slot.id
                 shard.epoch += 1
-                shard.deadline = tick + self.spec.lease_ticks
+                shard.deadline = tick + LEASE_TICKS
                 cost = (
                     plan.attempt_cost(slot.id, shard.index, shard.attempts)
                     if plan is not None
@@ -646,7 +579,7 @@ class FabricSupervisor:
                     f for f in plan.worker_faults if f.kind != "kill_worker"
                 ),
             )
-        fallback = InProcessWorker(self.spec.workers)
+        fallback = InProcessWorker(self.workers)
         self.collector.fabric_worker(fallback.worker_id, "inproc-fallback")
         for shard in shards:
             if shard.status == _DONE:
@@ -719,7 +652,7 @@ class FabricSupervisor:
         shard.attempts += 1
         if fault_worker is not None:
             shard.failed_workers.add(fault_worker)
-            if len(shard.failed_workers) >= self.spec.quarantine_after:
+            if len(shard.failed_workers) >= QUARANTINE_AFTER:
                 self.collector.record_quarantine(label, shard.index)
                 raise ShardQuarantined(
                     label,

@@ -1,7 +1,7 @@
-"""Pluggable fabric workers and checksummed result envelopes.
+"""The shard supervisor's two workers and checksummed result envelopes.
 
-A fabric worker is anything that can execute one :class:`FabricCall`
-at a time and hand back a **sealed envelope** — the shard result
+A worker executes one :class:`FabricCall` at a time and hands back a
+**sealed envelope** — the shard result
 pickled to bytes and bound to its ``(shard, attempt, worker)``
 coordinates by the same truncated-SHA-256 primitive the sweep journal
 uses (:func:`repro.resilience.journal.record_checksum`).  The
@@ -9,25 +9,29 @@ coordinator verifies every envelope before accepting it, so a worker
 that silently returns garbage is indistinguishable from one that
 crashed: the shard is simply re-executed.
 
-Two backends implement the :class:`Worker` protocol:
+Both workers offer the same three methods: ``submit(call)`` accepts
+one call, ``result(timeout)`` blocks for its envelope (raising on
+worker death or timeout), and ``close(wait=False)`` releases the
+worker.  The coordinator never assumes shared memory: all it sees are
+picklable calls going out and envelopes coming back.  The supervisor
+picks the class from the worker count alone:
 
 ``inproc`` — :class:`InProcessWorker`
     Executes in the coordinator's process at ``result()`` time.  The
-    backend of a one-worker engine, and the degradation target when
+    worker of a one-worker engine, and the degradation target when
     every other worker has died.
 ``pool`` — :class:`PoolWorker`
-    One single-process ``ProcessPoolExecutor`` per worker (the backend
-    ``--workers N`` selects for ``N > 1``), so a
+    One single-process ``ProcessPoolExecutor`` per worker (what
+    ``--workers N`` runs for ``N > 1``), so a
     ``kill_worker`` fault (``os._exit`` in the subprocess) kills *that
     worker only* — the failure isolation a multi-host fabric would
     have, on one machine.
 
-Every backend funnels through module-level
+Both workers funnel through module-level
 :func:`execute_fabric_call`, the single choke point where worker-level
 faults (``kill_worker``, ``corrupt_result``) and the shard faults
 (``crash``, ``delay``, ``break_pool``) are injected — the single
-choke point that makes chaos schedules uniform across worker counts
-and backends.
+choke point that makes chaos schedules uniform across worker counts.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Protocol, runtime_checkable
+from typing import Any, Callable
 
 from repro.resilience.faults import FaultPlan, WorkerKilled, inject_shard_fault
 from repro.resilience.journal import record_checksum
@@ -47,8 +51,6 @@ __all__ = [
     "FabricCall",
     "InProcessWorker",
     "PoolWorker",
-    "WORKER_BACKENDS",
-    "Worker",
     "decode_result",
     "encode_result",
     "execute_fabric_call",
@@ -71,8 +73,8 @@ def decode_result(text: str) -> Any:
 class FabricCall:
     """One shard attempt, addressed to one worker.
 
-    Picklable in full (``body`` must be a module-level callable) so any
-    backend — in-process or subprocess — receives the identical work
+    Picklable in full (``body`` must be a module-level callable) so
+    either worker — in-process or subprocess — receives the identical work
     description.
 
     Attributes
@@ -152,8 +154,8 @@ def execute_fabric_call(call: FabricCall, in_subprocess: bool) -> dict:
 
     Worker faults fire first: a matching ``kill_worker`` exits the
     subprocess hard (breaking its pool, as a real worker death would)
-    or raises :class:`~repro.resilience.faults.WorkerKilled` for
-    backends living in the coordinator's process.  Then the shard
+    or raises :class:`~repro.resilience.faults.WorkerKilled` for a
+    worker living in the coordinator's process.  Then the shard
     faults are injected, then the body runs, and the result is sealed
     (which is where ``corrupt_result`` faults apply).
     """
@@ -169,37 +171,6 @@ def execute_fabric_call(call: FabricCall, in_subprocess: bool) -> dict:
         plan, call.shard, call.attempt, in_pool=in_subprocess, timeout=call.timeout
     )
     return seal_envelope(call, call.body(call.payload))
-
-
-@runtime_checkable
-class Worker(Protocol):
-    """What the coordinator requires of a fabric worker backend.
-
-    One outstanding call at a time: ``submit`` hands the worker a
-    :class:`FabricCall`, ``result`` blocks until its envelope is
-    available (raising on worker death or timeout), ``close`` releases
-    any resources.  The coordinator never assumes shared memory — all
-    it sees are picklable calls going out and envelopes coming back.
-    """
-
-    worker_id: int
-    kind: str
-
-    def submit(self, call: FabricCall) -> None:
-        """Accept one call (the previous one must have been collected)."""
-        ...  # pragma: no cover
-
-    def result(self, timeout: float | None = None) -> dict:
-        """Block for the outstanding call's envelope."""
-        ...  # pragma: no cover
-
-    def close(self, wait: bool = False) -> None:
-        """Release the backend's resources (idempotent).
-
-        ``wait=True`` also reaps any subprocess; the default abandons
-        it, which is how a dead or hung worker is dropped mid-run.
-        """
-        ...  # pragma: no cover
 
 
 class InProcessWorker:
@@ -275,10 +246,3 @@ class PoolWorker:
             self._pool.shutdown(wait=wait, cancel_futures=True)
             self._pool = None
 
-
-#: Backend name -> constructor, the registry ``--fabric backend=...``
-#: selects from.
-WORKER_BACKENDS: dict[str, Callable[[int], Worker]] = {
-    "inproc": InProcessWorker,
-    "pool": PoolWorker,
-}

@@ -19,8 +19,10 @@ Integrity model
   different runs or different code.
 * Every line carries a truncated SHA-256 over its content.  A torn
   tail line (the crash case an append-only file can actually produce)
-  or any corrupted line fails its checksum and is ignored — the cell
-  is simply recomputed.
+  or any corrupted line — including one that is not valid UTF-8 —
+  fails its checksum and is ignored: the cell is simply recomputed.
+  Resuming cuts a torn tail off before the first append, so the next
+  record starts on a line of its own.
 * Appends are flushed and fsynced per record, so a completed cell
   survives anything short of filesystem loss.
 """
@@ -74,14 +76,11 @@ def _encode_line(record: dict) -> str:
     return json.dumps({**record, "sha": _line_checksum(record)}, sort_keys=True)
 
 
-def _decode_line(line: str) -> dict | None:
+def _decode_line(raw: bytes) -> dict | None:
     """Parse + verify one journal line; ``None`` if torn/corrupt."""
-    line = line.strip()
-    if not line:
-        return None
     try:
-        payload = json.loads(line)
-    except ValueError:
+        payload = json.loads(raw.decode("utf-8"))
+    except ValueError:  # covers UnicodeDecodeError and bad JSON
         return None
     if not isinstance(payload, dict):
         return None
@@ -122,11 +121,14 @@ class SweepJournal:
         self.header = dict(header)
         self.completed: dict[str, object] = {}
         self.skipped_lines = 0
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        if resume and self.path.exists():
-            self._load()
-        else:
-            self._start_fresh()
+        try:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            if resume and self.path.exists():
+                self._load()
+            else:
+                self._start_fresh()
+        except OSError as exc:
+            raise JournalError(f"{self.path}: unusable journal path ({exc})") from exc
 
     # -- construction ----------------------------------------------------
 
@@ -137,7 +139,8 @@ class SweepJournal:
             os.fsync(handle.fileno())
 
     def _load(self) -> None:
-        lines = self.path.read_text().splitlines()
+        data = self.path.read_bytes()
+        lines = data.splitlines()
         if not lines:
             self._start_fresh()
             return
@@ -160,6 +163,19 @@ class SweepJournal:
                 self.skipped_lines += 1
                 continue
             self.completed[record["key"]] = record.get("payload")
+        # What follows the last newline is empty unless a crash cut a
+        # write short.  Appending to it would glue the next record onto
+        # the torn one, so end the file on a line boundary first.
+        tail = data[data.rfind(b"\n") + 1 :]
+        if tail:
+            with open(self.path, "r+b") as handle:
+                if _decode_line(tail) is None:
+                    handle.truncate(len(data) - len(tail))
+                else:  # a complete line that only lacks its newline
+                    handle.seek(0, os.SEEK_END)
+                    handle.write(b"\n")
+                handle.flush()
+                os.fsync(handle.fileno())
 
     # -- recording / replay ----------------------------------------------
 
@@ -240,10 +256,11 @@ def verify_journal(path: str | Path) -> JournalReport:
     """
     path = Path(path)
     report = JournalReport(path=path)
-    if not path.exists():
-        report.bad_lines.append((0, "file does not exist"))
+    try:
+        lines = path.read_bytes().splitlines()
+    except OSError as exc:  # missing file, a directory, no permission
+        report.bad_lines.append((0, f"unreadable path: {exc.strerror or exc}"))
         return report
-    lines = path.read_text().splitlines()
     if not lines:
         report.bad_lines.append((0, "empty file (no header line)"))
         return report

@@ -1,9 +1,9 @@
 """The shard supervisor under its original import path.
 
-The engine has one supervisor, :class:`repro.fabric.FabricSupervisor`
-(``--workers N`` runs it with the ``pool`` backend, ``--fabric`` with
-any spec).  ``ShardSupervisor`` is the same class object, kept so code
-that imports or wraps it by this name keeps working.
+The engine has one supervisor, :class:`repro.fabric.FabricSupervisor`,
+whose only setting is the worker count (``--workers N``).
+``ShardSupervisor`` is the same class object, kept so code that
+imports or wraps it by this name keeps working.
 """
 
 from repro.fabric.supervisor import FabricSupervisor as ShardSupervisor

@@ -25,9 +25,7 @@ bit-identical to cache-cold ones as well; both invariants are enforced
 by ``tests/test_engine.py``.
 
 Shards execute under :class:`repro.fabric.FabricSupervisor`, the one
-shard supervisor: ``workers=N`` is shorthand for
-``FabricSpec(workers=N, backend="pool")`` (``"inproc"`` when
-``N == 1``), and an explicit ``fabric`` spec takes precedence.  It
+shard supervisor, whose only setting is ``workers``.  It
 leases shards to workers, retries failed attempts with deterministic
 backoff, drops dead or hung workers (rebuilding them for the next
 task), and degrades to an in-process fallback if every worker dies.
@@ -58,7 +56,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.report.run_stats import RunStatsCollector
     from repro.resilience.journal import SweepJournal
 
-from repro.fabric import FabricSpec, FabricSupervisor, parse_fabric_spec
+from repro.fabric import FabricSupervisor
 from repro.resilience.faults import FaultPlan
 from repro.resilience.policy import RetryPolicy
 from repro.sim.cache import ResultCache
@@ -129,11 +127,11 @@ class MonteCarloEngine:
     Parameters
     ----------
     workers:
-        Worker count, shorthand for ``FabricSpec(workers=N,
-        backend="pool")``.  ``1`` (default) runs shards on one
-        in-process worker — no subprocess — but through the *same*
-        shard plan, so results match any other worker count bit for
-        bit.  ``None`` or ``0`` uses every core.
+        Worker count, the shard supervisor's only setting.  ``1``
+        (default) runs shards on one in-process worker — no
+        subprocess — but through the *same* shard plan, so results
+        match any other worker count bit for bit; ``N > 1`` runs one
+        subprocess per worker.  ``None`` or ``0`` uses every core.
     cache:
         A :class:`ResultCache`, ``True`` for one rooted at the default
         directory, or ``None``/``False`` to disable caching.
@@ -151,12 +149,6 @@ class MonteCarloEngine:
         Optional :class:`~repro.resilience.faults.FaultPlan` — the
         deterministic chaos harness.  Production runs leave this
         ``None``.
-    fabric:
-        Optional :class:`~repro.fabric.FabricSpec` (or a spec string
-        like ``"workers=4,backend=inproc"``) that overrides the one
-        ``workers`` implies: backend and lease knobs.  The shard plan,
-        streams, and merge order are unchanged, so results are
-        bit-identical for every spec.
     fabric_journal:
         Optional :class:`~repro.resilience.journal.SweepJournal` the
         supervisor checkpoints accepted shards into (per-shard resume
@@ -177,7 +169,6 @@ class MonteCarloEngine:
         collector: "RunStatsCollector | None" = None,
         policy: RetryPolicy | None = None,
         faults: FaultPlan | None = None,
-        fabric: "FabricSpec | str | None" = None,
         fabric_journal: "SweepJournal | None" = None,
     ) -> None:
         # Imported here, not at module level: repro.report's package
@@ -195,16 +186,8 @@ class MonteCarloEngine:
         self.collector = collector if collector is not None else RunStatsCollector()
         self.policy = policy if policy is not None else RetryPolicy()
         self.faults = faults
-        if isinstance(fabric, str):
-            fabric = parse_fabric_spec(fabric)
-        if fabric is None:
-            fabric = FabricSpec(
-                workers=self.workers,
-                backend="pool" if self.workers > 1 else "inproc",
-            )
-        self.fabric = fabric
         self._supervisor = FabricSupervisor(
-            spec=fabric,
+            workers=self.workers,
             policy=self.policy,
             collector=self.collector,
             plan=self.faults,

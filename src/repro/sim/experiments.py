@@ -19,7 +19,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.fabric import FabricSpec
     from repro.resilience.journal import SweepJournal
 
 from repro.access.patterns_nd import ND_PATTERN_NAMES
@@ -657,7 +656,6 @@ def app_time_sweep(
     batched: bool = True,
     skeleton_seed: int = 2014,
     journal: "SweepJournal | None" = None,
-    fabric: "FabricSpec | str | None" = None,
 ) -> dict[tuple[str, str], AppTimingResult]:
     """Per-trial app completion times over mapping redraws.
 
@@ -672,10 +670,9 @@ def app_time_sweep(
     for benchmarking and cross-validation).  ``skeleton_seed`` fixes
     the app's input data; the program *skeleton* (grids and masks) is
     mapping-independent, which is what makes batching across draws
-    possible.  ``fabric`` sets the default engine's worker spec
-    (ignored when ``engine`` is supplied).
+    possible.
     """
-    engine = engine or MonteCarloEngine(fabric=fabric)
+    engine = engine or MonteCarloEngine()
     cells = [(app, mapping) for app in apps for mapping in mappings]
     seqs = spawn_seed_sequences(seed, len(cells))
     out: dict[tuple[str, str], AppTimingResult] = {}

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.fabric import FabricSpec
     from repro.resilience.journal import SweepJournal
 
 from repro.access.transpose import run_transpose
@@ -75,7 +74,6 @@ def growth_sweep(
     seed: SeedLike = 2014,
     engine: MonteCarloEngine | None = None,
     journal: "SweepJournal | None" = None,
-    fabric: "FabricSpec | str | None" = None,
 ) -> GrowthSweep:
     """Measure expected congestion across widths for the given mappings.
 
@@ -87,13 +85,8 @@ def growth_sweep(
     When ``journal`` is given, each completed ``(mapping, width)`` cell
     is recorded; cells already present replay from the journal instead
     of recomputing, so a resumed sweep is bit-identical to a fresh one.
-
-    ``fabric`` (a :class:`~repro.fabric.FabricSpec` or spec string)
-    sets the default engine's worker spec — same shard plan,
-    bit-identical results.  Ignored when an ``engine`` is supplied
-    (the engine's own spec wins).
     """
-    engine = engine or MonteCarloEngine(fabric=fabric)
+    engine = engine or MonteCarloEngine()
     sweep = GrowthSweep(pattern=pattern, widths=tuple(widths))
     seqs = spawn_seed_sequences(seed, len(mappings) * len(widths))
     k = 0

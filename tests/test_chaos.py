@@ -17,7 +17,6 @@ import multiprocessing
 import pytest
 
 from repro.cli import main as repro_main
-from repro.fabric import FabricSpec
 from repro.resilience import (
     BUILTIN_FAULT_PLANS,
     FaultPlan,
@@ -149,11 +148,7 @@ def test_poisoned_cache_recovers_on_next_run(plan_name, baseline, tmp_path):
     assert ResultCache(root=tmp_path).verify().clean
 
 
-@pytest.mark.parametrize(
-    "engine_kwargs",
-    [dict(workers=2), dict(fabric=FabricSpec(workers=2, backend="pool"))],
-    ids=["workers=2", "backend=pool"],
-)
+@pytest.mark.parametrize("engine_kwargs", [dict(workers=2)], ids=["workers=2"])
 def test_close_reaps_every_worker_process(engine_kwargs, baseline):
     """A closed engine leaves no live worker subprocess behind."""
     # Workers abandoned mid-run by earlier chaos tests may still be

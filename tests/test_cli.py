@@ -33,21 +33,32 @@ class TestParser:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["table2", "--fabric", "backend=bogus"],
-            ["table2", "--fabric", "workers=x"],
-            ["table2", "--fabric", "backend=spawned"],
+            ["table2", "--workers", "x"],
+            ["table2", "--workers", "-1"],
+            ["table2", "--workers", "2.5"],
             ["table2", "--chaos", "nope"],
-            ["table4", "--fabric", "workers=x"],
+            ["table4", "--workers", "x"],
             ["table4", "--chaos", "nope"],
-            ["sweep-all", "--fabric", "backend=bogus"],
-            ["sweep-all", "--fabric", "backend=spawned"],
+            ["sweep-all", "--workers", "x"],
+            ["sweep-all", "--workers", "-1"],
         ],
     )
     def test_bad_fabric_or_chaos_spec_exits_2(self, argv, capsys):
+        """A bad worker count (the supervisor's only setting) or chaos
+        plan is an argparse error, not a traceback."""
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--trials", "4", "--widths", "8", "--no-cache"])
         assert exc.value.code == 2
         assert f"argument {argv[1]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["table2", "sweep-all"])
+    def test_fabric_flag_is_gone(self, command, capsys):
+        """The old supervisor-spec flag was deleted with its spec type;
+        the worker count is the supervisor's whole configuration."""
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--fabric", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --fabric" in capsys.readouterr().err
 
 
 class TestRunExperiment:

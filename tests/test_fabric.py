@@ -16,16 +16,15 @@ import pytest
 
 from repro.fabric import (
     CoordinatorKilled,
-    FabricSpec,
     FabricSupervisor,
     InProcessWorker,
     PoolWorker,
     ShardQuarantined,
     FabricCall,
     open_envelope,
-    parse_fabric_spec,
     seal_envelope,
 )
+from repro.fabric.supervisor import QUARANTINE_AFTER
 from repro.resilience import (
     BUILTIN_WORKER_FAULT_PLANS,
     FaultPlan,
@@ -56,17 +55,15 @@ def baseline():
 def run_fabric(
     plan: FaultPlan | None,
     workers: int,
-    backend: str = "inproc",
     policy: RetryPolicy | None = None,
     journal: SweepJournal | None = None,
-    **spec_overrides,
 ):
     """One fabric chaos run; returns (stats, collector)."""
     engine = MonteCarloEngine(
+        workers=workers,
         cache=None,
         policy=policy or chaos_policy(),
         faults=plan,
-        fabric=FabricSpec(workers=workers, backend=backend, **spec_overrides),
         fabric_journal=journal,
     )
     with engine:
@@ -74,7 +71,7 @@ def run_fabric(
     return stats, engine.collector
 
 
-# -- bit-identity across plans, worker counts, backends --------------------
+# -- bit-identity across plans and worker counts ---------------------------
 
 
 @pytest.mark.parametrize("plan_name", sorted(BUILTIN_WORKER_FAULT_PLANS))
@@ -91,21 +88,26 @@ def test_builtin_worker_plan_recovers_bit_identically(plan_name, workers, baseli
     )
 
 
-@pytest.mark.parametrize("backend", ["inproc", "pool"])
-def test_backends_bit_identical(backend, baseline):
-    """Every worker backend produces the same bits."""
-    stats, collector = run_fabric(None, workers=2, backend=backend)
+@pytest.mark.parametrize(
+    "workers, backend", [(1, "inproc"), (2, "pool")], ids=["inproc", "pool"]
+)
+def test_backends_bit_identical(workers, backend, baseline):
+    """The worker count picks the backend — in-process for one worker,
+    one subprocess each otherwise — and both produce the same bits."""
+    stats, collector = run_fabric(None, workers=workers)
     assert stats == baseline
-    assert all(w.backend == backend for w in collector.fabric_workers.values())
+    assert [w.backend for w in collector.fabric_workers.values()] == [
+        backend
+    ] * workers
 
 
 def test_fabric_matches_shard_supervisor_engine(baseline):
-    """An engine built with the ``workers=N`` shorthand runs the pool
-    fabric and agrees bit for bit with an explicit fabric spec — the
-    fabric is a drop-in, not a different experiment."""
+    """The engine's default supervisor agrees bit for bit across worker
+    counts — more workers are a drop-in, not a different experiment."""
     with MonteCarloEngine(workers=2, cache=None) as engine:
-        assert engine.fabric == FabricSpec(workers=2, backend="pool")
         pooled = engine.matrix_congestion(**TASK)
+        backends = {w.backend for w in engine.collector.fabric_workers.values()}
+    assert backends == {"pool"}
     fabric, _ = run_fabric(None, workers=4)
     assert pooled == baseline == fabric
 
@@ -178,7 +180,7 @@ def test_blackout_death_and_rejoin(baseline):
 
 def test_poisoned_shard_quarantines_after_k_distinct_workers():
     """A shard that crashes everywhere is the shard's fault: after
-    failing on ``quarantine_after`` distinct workers it is quarantined
+    failing on ``QUARANTINE_AFTER`` distinct workers it is quarantined
     instead of burning the whole retry budget."""
     plan = FaultPlan(
         name="poisoned-shard",
@@ -189,7 +191,7 @@ def test_poisoned_shard_quarantines_after_k_distinct_workers():
     with pytest.raises(ShardQuarantined) as exc_info:
         run_fabric(plan, workers=4, policy=chaos_policy(max_retries=10))
     assert exc_info.value.shard == 1
-    assert len(exc_info.value.failed_workers) == 3  # default quarantine_after
+    assert len(exc_info.value.failed_workers) == QUARANTINE_AFTER == 3
 
 
 def test_worker_deaths_never_quarantine_a_healthy_shard(baseline):
@@ -222,7 +224,7 @@ def test_all_workers_dead_degrades_to_inprocess_fallback(baseline):
     stats, collector = run_fabric(plan, workers=2)
     assert stats == baseline
     assert collector.degraded_runs == 1
-    fallback = collector.fabric_workers[2]  # spec.workers == 2 -> id 2
+    fallback = collector.fabric_workers[2]  # workers == 2 -> id 2
     assert fallback.backend == "inproc-fallback"
     assert fallback.shards > 0
 
@@ -263,36 +265,7 @@ def test_journal_resume_skips_completed_shards(baseline, tmp_path):
     assert all(w.shards == 0 for w in collector.fabric_workers.values())
 
 
-# -- spec parsing and validation ------------------------------------------
-
-
-def test_parse_fabric_spec_forms():
-    assert parse_fabric_spec(None) == FabricSpec()
-    assert parse_fabric_spec("") == FabricSpec()
-    assert parse_fabric_spec("4") == FabricSpec(workers=4)
-    spec = parse_fabric_spec("workers=3,backend=pool,lease=9,heartbeat=5,quarantine=2")
-    assert spec == FabricSpec(
-        workers=3, backend="pool", lease_ticks=9, heartbeat_ticks=5,
-        quarantine_after=2,
-    )
-
-
-@pytest.mark.parametrize(
-    "text", ["bogus", "workers", "workers=x", "depth=3", "backend=spawned"]
-)
-def test_parse_fabric_spec_rejects_garbage(text):
-    with pytest.raises(ValueError):
-        parse_fabric_spec(text)
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [dict(workers=0), dict(backend="teleport"), dict(lease_ticks=0),
-     dict(heartbeat_ticks=0), dict(quarantine_after=0)],
-)
-def test_fabric_spec_validates(kwargs):
-    with pytest.raises(ValueError):
-        FabricSpec(**kwargs)
+# -- fault validation -----------------------------------------------------
 
 
 def test_worker_fault_validates():
@@ -325,7 +298,7 @@ def test_envelope_roundtrip_and_tamper_detection():
 
 
 def test_worker_protocol_backends():
-    """Both backends execute a call and deliver a valid envelope."""
+    """Both worker classes execute a call and deliver a valid envelope."""
     call = FabricCall(body=_shard_body, payload=5, shard=0, attempt=0, worker=0)
     for cls in (InProcessWorker, PoolWorker):
         worker = cls(0)
@@ -344,7 +317,7 @@ def test_supervisor_empty_payloads_short_circuits():
     from repro.report.run_stats import RunStatsCollector
 
     sup = FabricSupervisor(
-        spec=FabricSpec(workers=2), policy=chaos_policy(),
+        workers=2, policy=chaos_policy(),
         collector=RunStatsCollector(),
     )
     try:
@@ -353,11 +326,20 @@ def test_supervisor_empty_payloads_short_circuits():
         sup.close()
 
 
+def test_supervisor_rejects_zero_workers():
+    from repro.report.run_stats import RunStatsCollector
+
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        FabricSupervisor(
+            workers=0, policy=chaos_policy(), collector=RunStatsCollector()
+        )
+
+
 def test_supervisor_preserves_shard_order():
     from repro.report.run_stats import RunStatsCollector
 
     sup = FabricSupervisor(
-        spec=FabricSpec(workers=3), policy=chaos_policy(),
+        workers=3, policy=chaos_policy(),
         collector=RunStatsCollector(),
     )
     try:

@@ -57,6 +57,23 @@ class TestJournalVerify:
         path.write_text("this is not a journal\n")
         assert repro_main(["journal", "verify", str(path)]) == 1
 
+    def test_non_utf8_record_is_a_bad_line(self, journal_path, capsys):
+        """A line of raw non-UTF-8 bytes is reported like any other
+        corrupt line — exit 1, no traceback — and ``tail`` still works."""
+        with journal_path.open("ab") as handle:
+            handle.write(b"\xff\xfe not text\n")
+        assert repro_main(["journal", "verify", str(journal_path)]) == 1
+        out = capsys.readouterr().out
+        assert "3 valid record(s), 1 bad line(s)" in out
+        assert "line 5" in out
+        assert repro_main(["journal", "tail", str(journal_path)]) == 0
+        assert "RAS/w=8 = 1.0" in capsys.readouterr().out
+
+    def test_directory_is_a_bad_path(self, tmp_path, capsys):
+        assert repro_main(["journal", "verify", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert "line 0: unreadable path" in out
+
 
 class TestJournalStatsAndTail:
     def test_stats_reports_header_and_counts(self, journal_path, capsys):
@@ -146,13 +163,35 @@ class TestSweepAll:
         assert "error:" in capsys.readouterr().err
 
 
-def test_fabric_flag_output_matches_plain_run(tmp_path, capsys):
-    """`table2 --fabric workers=2` prints the same bytes as the plain
-    serial run — the CLI face of the fabric's bit-identity contract."""
+def test_workers_flag_output_matches_plain_run(tmp_path, capsys):
+    """`table2 --workers N` prints the same bytes as the plain serial
+    run — the CLI face of the supervisor's bit-identity contract."""
     base = ["table2", "--trials", "50", "--widths", "8", "16", "--no-cache"]
     assert repro_main(base) == 0
     plain = capsys.readouterr().out
-    assert repro_main([*base, "--fabric", "workers=2"]) == 0
+    assert repro_main([*base, "--workers", "2"]) == 0
     assert capsys.readouterr().out == plain
-    assert repro_main([*base, "--fabric", "workers=4,backend=inproc"]) == 0
+    assert repro_main([*base, "--workers", "4"]) == 0
     assert capsys.readouterr().out == plain
+
+
+class TestResumeOverDamagedJournal:
+    BASE = ["table2", "--trials", "16", "--widths", "8", "--no-cache"]
+
+    def test_non_utf8_record_is_recomputed(self, tmp_path, capsys):
+        """A non-UTF-8 line in the journal is skipped on ``--resume``:
+        its cell is recomputed and the output is byte-identical."""
+        path = tmp_path / "j.jsonl"
+        assert repro_main([*self.BASE, "--journal", str(path)]) == 0
+        fresh = capsys.readouterr().out
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[2] = b"\xff" + lines[2]
+        path.write_bytes(b"".join(lines))
+        assert repro_main([*self.BASE, "--journal", str(path), "--resume"]) == 0
+        assert capsys.readouterr().out == fresh
+
+    def test_non_utf8_header_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "j.jsonl"
+        path.write_bytes(b"\xff\xfe\n")
+        assert repro_main([*self.BASE, "--journal", str(path), "--resume"]) == 2
+        assert "not a sweep journal" in capsys.readouterr().err

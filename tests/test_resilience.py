@@ -13,7 +13,7 @@ import os
 
 import pytest
 
-from repro.fabric import FabricSpec, FabricSupervisor
+from repro.fabric import FabricSupervisor
 from repro.report.run_stats import RunStatsCollector
 from repro.resilience import (
     FaultPlan,
@@ -106,6 +106,54 @@ def test_journal_torn_tail_is_skipped(tmp_path):
     reloaded = SweepJournal(path, HEADER, resume=True)
     assert reloaded.completed == {"a": 1.0}
     assert reloaded.skipped_lines == 1
+
+
+def test_journal_torn_tail_is_cut_before_the_next_append(tmp_path):
+    """A record appended after a torn tail starts on its own line, so
+    the next resume still loads it."""
+    path = tmp_path / "j.jsonl"
+    SweepJournal(path, HEADER, resume=False).record("a", 1)
+    with path.open("a") as handle:
+        handle.write('{"key": "b", "payl')  # coordinator killed mid-record
+    SweepJournal(path, HEADER, resume=True).record("c", 3)
+    reloaded = SweepJournal(path, HEADER, resume=True)
+    assert reloaded.completed == {"a": 1, "c": 3}
+    assert reloaded.skipped_lines == 0
+
+
+def test_journal_unterminated_valid_tail_is_kept(tmp_path):
+    """A complete last line that lost only its newline is kept, and the
+    next record goes on the line after it."""
+    path = tmp_path / "j.jsonl"
+    SweepJournal(path, HEADER, resume=False).record("a", 1)
+    path.write_bytes(path.read_bytes().rstrip(b"\n"))
+    SweepJournal(path, HEADER, resume=True).record("b", 2)
+    assert SweepJournal(path, HEADER, resume=True).completed == {"a": 1, "b": 2}
+
+
+def test_journal_non_utf8_line_is_skipped(tmp_path):
+    path = tmp_path / "j.jsonl"
+    journal = SweepJournal(path, HEADER, resume=False)
+    journal.record("a", 1.0)
+    with path.open("ab") as handle:
+        handle.write(b"\xff\xfe\n")
+    journal.record("b", 2.0)
+    reloaded = SweepJournal(path, HEADER, resume=True)
+    assert reloaded.completed == {"a": 1.0, "b": 2.0}
+    assert reloaded.skipped_lines == 1
+
+
+def test_journal_non_utf8_header_raises(tmp_path):
+    path = tmp_path / "j.jsonl"
+    path.write_bytes(b"\xff\xfe\n")
+    with pytest.raises(JournalError, match="not a sweep journal"):
+        SweepJournal(path, HEADER, resume=True)
+
+
+@pytest.mark.parametrize("resume", [True, False])
+def test_journal_directory_path_raises(tmp_path, resume):
+    with pytest.raises(JournalError, match="unusable journal path"):
+        SweepJournal(tmp_path, HEADER, resume=resume)
 
 
 def test_journal_corrupt_middle_line_is_skipped(tmp_path):
@@ -316,7 +364,7 @@ def _fast_policy(**overrides) -> RetryPolicy:
 
 def _serial_supervisor(policy, collector, plan=None) -> FabricSupervisor:
     return FabricSupervisor(
-        spec=FabricSpec(workers=1), policy=policy, collector=collector, plan=plan
+        workers=1, policy=policy, collector=collector, plan=plan
     )
 
 
@@ -357,8 +405,7 @@ def test_shard_supervisor_is_the_one_supervisor():
 
     assert ShardSupervisor is FabricSupervisor
     with MonteCarloEngine(workers=1, cache=None) as engine:
-        assert engine.fabric == FabricSpec(workers=1, backend="inproc")
-        for gone in ("_pool", "_get_pool", "_respawn_pool"):
+        for gone in ("_pool", "_get_pool", "_respawn_pool", "fabric"):
             assert not hasattr(engine, gone)
     assert "max_pool_respawns" not in RetryPolicy.__dataclass_fields__
 
