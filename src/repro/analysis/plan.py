@@ -44,9 +44,11 @@ steps:
     batched executor with pre-staged bank keys, exactly as before.
 
 The compiler also pools identical address grids: steps that touch the
-same array through the same ``(ii, jj, mask)`` grids share one staged
-index table and key block (shearsort's 1400+ steps collapse to 2
-tables), and the executor counts a pooled residual table once per run.
+same array through the same interned ``(ii, jj, mask)`` grids (one
+:attr:`~repro.gpu.kernel.KernelStep.grid_key`) share one staged index
+table and key block (shearsort's 1400+ steps collapse to 2 tables),
+and the executor counts a pooled residual table once per run.  Each
+distinct grid is classified and abstracted once per compile.
 
 Execution is ``kernel.program_batch(shifts, plan=plan.steps)`` +
 :meth:`~repro.dmm.batched.BatchedDMM.run` (or the
@@ -78,7 +80,7 @@ from repro.dmm.trace import INACTIVE
 if TYPE_CHECKING:  # pragma: no cover
     from repro.dmm.backends import Resolution, StagedPlan
     from repro.dmm.batched import BatchedDMM, BatchedExecutionResult, BatchedProgram
-    from repro.gpu.kernel import KernelStep, SharedMemoryKernel
+    from repro.gpu.kernel import GridKey, KernelStep, SharedMemoryKernel
 
 __all__ = [
     "PLAN_FAMILIES",
@@ -323,12 +325,90 @@ def _warp_classes(
     return any_act, row_local, col_local
 
 
-def _raw_congestions(step: "KernelStep", base: int, w: int) -> np.ndarray:
-    """Exact per-warp congestion under the zero-shift (RAW) member."""
-    addr = base + (step.ii * w + step.jj).ravel()
+def _raw_congestions(step: "KernelStep", w: int) -> np.ndarray:
+    """Exact per-warp congestion under the zero-shift (RAW) member.
+
+    Array bases are whole bank periods (the caller checks), and such a
+    base moves no address to another bank, so the grids alone decide.
+    """
+    addr = (step.ii * w + step.jj).ravel()
     if step.mask is not None:
         addr = np.where(step.mask.ravel(), addr, INACTIVE)
     return congestion_batch(addr.reshape(-1, w), w, inactive=INACTIVE)
+
+
+#: ``(resolved, method, argument, congestions, static_warps, recipe)``
+#: of one grid under one family: the part of a :class:`StepPlan` that
+#: depends on nothing but the grids.
+_Verdict = tuple[bool, str, str, Optional[np.ndarray], int, Optional[CosetRecipe]]
+_Classes = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _grid_verdict(
+    step: "KernelStep", index: int, family: str, w: int, classes: _Classes
+) -> _Verdict:
+    """Resolve one grid against ``family`` (array base a multiple of w)."""
+    any_act, row_local, col_local = classes
+    active_warps = int(any_act.sum())
+    if family == "RAW":
+        congestions = _raw_congestions(step, w)
+        congestions.setflags(write=False)
+        return (
+            True,
+            METHOD_DETERMINISTIC,
+            "RAW is a singleton family (zero shifts): the exact "
+            "per-warp enumeration holds for every trial",
+            congestions,
+            active_warps,
+            None,
+        )
+    static = any_act & row_local
+    if family == "RAP":
+        static = static | (any_act & col_local)
+    static_warps = int(static.sum())
+    if static_warps == active_warps:
+        congestions = any_act.astype(np.int64)
+        congestions.setflags(write=False)
+        n_row = int((any_act & row_local).sum())
+        n_col = active_warps - n_row
+        parts = []
+        if n_row:
+            parts.append(
+                f"{n_row} row-local warp(s): a per-row rotation "
+                "maps the row bijectively onto the banks "
+                "(congestion 1 for any shift draw)"
+            )
+        if n_col:
+            parts.append(
+                f"{n_col} column-local warp(s): banks are "
+                "col + shift[row] over distinct rows and every "
+                "RAP draw is a permutation — injective, "
+                "congestion 1 (Theorem 1)"
+            )
+        argument = "; ".join(parts) if parts else "no warp dispatches"
+        return (True, METHOD_SYMBOLIC, argument, congestions, static_warps, None)
+    abstract = abstract_step(step, w, index=index)
+    recipe = step_recipe(abstract)
+    if recipe is not None:
+        bound, _ = step_bound(abstract, family)
+        ks = sorted({int(g.k) for g in recipe.groups})
+        argument = (
+            f"{abstract.coset_warps} coset warp(s) "
+            f"(k in {ks}): every touched row's columns form "
+            "a full coset, so congestion is the exact "
+            "residue-multiset closed form of the draw — "
+            f"per-bank load <= {bound} for every {family} "
+            "draw"
+        )
+        return (True, METHOD_ABSINT, argument, None, active_warps, recipe)
+    dyn = active_warps - static_warps
+    argument = (
+        f"{dyn}/{active_warps} warp(s) mix rows and "
+        "columns with no coset structure: congestion "
+        f"depends on the concrete {family} draw — "
+        "residual (per-trial bank count)"
+    )
+    return (False, METHOD_RESIDUAL, argument, None, static_warps, None)
 
 
 def compile_plan(
@@ -341,6 +421,11 @@ def compile_plan(
     are pooled into one address table.  The kernel's own mapping
     supplies only the array bases — exactly the contract of
     :meth:`~repro.gpu.kernel.SharedMemoryKernel.program_batch`.
+
+    Steps hold interned grids (:attr:`~repro.gpu.kernel.KernelStep.grid_key`),
+    so pooling is a dictionary lookup on ``(array, grid_key)`` and each
+    distinct grid is classified and abstracted once, however many steps
+    repeat it.
     """
     if family not in PLAN_FAMILIES:
         raise ValueError(
@@ -348,91 +433,36 @@ def compile_plan(
         )
     w = kernel.w
     plans: list[StepPlan] = []
-    pool: dict[tuple, int] = {}
+    pool: dict[tuple[str, "GridKey"], int] = {}
+    classes: dict["GridKey", _Classes] = {}
+    verdicts: dict["GridKey", _Verdict] = {}
     for idx, step in enumerate(kernel.steps):
         base = kernel.bases[step.array]
-        key = (
-            step.array,
-            step.ii.tobytes(),
-            step.jj.tobytes(),
-            None if step.mask is None else step.mask.tobytes(),
-        )
-        table = pool.setdefault(key, len(pool))
-        any_act, row_local, col_local = _warp_classes(step, w)
-        active_warps = int(any_act.sum())
-
-        resolved = False
-        method = METHOD_RESIDUAL
-        congestions: Optional[np.ndarray] = None
-        recipe: Optional[CosetRecipe] = None
+        grids = step.grid_key
+        table = pool.setdefault((step.array, grids), len(pool))
+        if grids not in classes:
+            classes[grids] = _warp_classes(step, w)
+        active_warps = int(classes[grids][0].sum())
+        verdict: _Verdict
         if base % w != 0:
             # A base that is not a whole number of bank periods skews
             # the bank arithmetic; no symbolic rule applies.
-            static_warps = 0
-            argument = (
+            verdict = (
+                False,
+                METHOD_RESIDUAL,
                 f"array base {base} is not a multiple of w={w}; "
-                "bank arithmetic is skewed — residual"
+                "bank arithmetic is skewed — residual",
+                None,
+                0,
+                None,
             )
-        elif family == "RAW":
-            resolved = True
-            method = METHOD_DETERMINISTIC
-            congestions = _raw_congestions(step, base, w)
-            static_warps = active_warps
-            argument = (
-                "RAW is a singleton family (zero shifts): the exact "
-                "per-warp enumeration holds for every trial"
-            )
+        elif grids in verdicts:
+            verdict = verdicts[grids]
         else:
-            static = any_act & row_local
-            if family == "RAP":
-                static = static | (any_act & col_local)
-            static_warps = int(static.sum())
-            if static_warps == active_warps:
-                resolved = True
-                method = METHOD_SYMBOLIC
-                congestions = any_act.astype(np.int64)
-                n_row = int((any_act & row_local).sum())
-                n_col = active_warps - n_row
-                parts = []
-                if n_row:
-                    parts.append(
-                        f"{n_row} row-local warp(s): a per-row rotation "
-                        "maps the row bijectively onto the banks "
-                        "(congestion 1 for any shift draw)"
-                    )
-                if n_col:
-                    parts.append(
-                        f"{n_col} column-local warp(s): banks are "
-                        "col + shift[row] over distinct rows and every "
-                        "RAP draw is a permutation — injective, "
-                        "congestion 1 (Theorem 1)"
-                    )
-                argument = "; ".join(parts) if parts else "no warp dispatches"
-            else:
-                abstract = abstract_step(step, w, index=idx)
-                recipe = step_recipe(abstract)
-                if recipe is not None:
-                    resolved = True
-                    method = METHOD_ABSINT
-                    static_warps = active_warps
-                    bound, _ = step_bound(abstract, family)
-                    ks = sorted({int(g.k) for g in recipe.groups})
-                    argument = (
-                        f"{abstract.coset_warps} coset warp(s) "
-                        f"(k in {ks}): every touched row's columns form "
-                        "a full coset, so congestion is the exact "
-                        "residue-multiset closed form of the draw — "
-                        f"per-bank load <= {bound} for every {family} "
-                        "draw"
-                    )
-                else:
-                    dyn = active_warps - static_warps
-                    argument = (
-                        f"{dyn}/{active_warps} warp(s) mix rows and "
-                        "columns with no coset structure: congestion "
-                        f"depends on the concrete {family} draw — "
-                        "residual (per-trial bank count)"
-                    )
+            verdict = verdicts[grids] = _grid_verdict(
+                step, idx, family, w, classes[grids]
+            )
+        resolved, method, argument, congestions, static_warps, recipe = verdict
         plans.append(
             StepPlan(
                 step=idx,

@@ -17,7 +17,10 @@ write your kernel against logical indices, pick
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+import weakref
+from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
@@ -39,7 +42,144 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.analysis.plan import CompiledPlan
     from repro.analysis.verify import VerificationReport
 
-__all__ = ["KernelStep", "KernelReport", "SharedMemoryKernel", "transpose_kernel"]
+__all__ = [
+    "GridKey",
+    "KernelStep",
+    "KernelReport",
+    "SharedMemoryKernel",
+    "transpose_kernel",
+]
+
+
+#: Strided samples per grid in an intern-table fingerprint.  The
+#: fingerprint only picks candidate entries and a hit is confirmed by
+#: exact equality, so a coarse sample costs extra comparisons, never
+#: correctness.  Sort's step grids at w=512 agree on many 64-entry
+#: samples (1096 comparisons for 684 steps); 1024 entries leave one
+#: comparison per repeated step.
+_FINGERPRINT_SAMPLES = 1024
+
+
+class GridKey:
+    """One interned ``(ii, jj, mask)`` triple of read-only grids.
+
+    Every :class:`KernelStep` built from equal grids holds the same
+    key and so the same arrays: a key's identity stands for its content
+    for as long as any step holds it.  Keys hash by identity, which
+    makes them cheap dictionary keys for per-grid analyses (see
+    :func:`~repro.analysis.plan.compile_plan`).
+    """
+
+    __slots__ = ("ii", "jj", "mask", "__weakref__")
+
+    def __init__(
+        self, ii: np.ndarray, jj: np.ndarray, mask: Optional[np.ndarray]
+    ) -> None:
+        self.ii = ii
+        self.jj = jj
+        self.mask = mask
+
+    def holds(
+        self, ii: np.ndarray, jj: np.ndarray, mask: Optional[np.ndarray]
+    ) -> bool:
+        """True when the key's grids equal these, entry for entry."""
+        pairs = ((self.ii, ii), (self.jj, jj), (self.mask, mask))
+        return all(
+            a is b or (a is not None and b is not None and np.array_equal(a, b))
+            for a, b in pairs
+        )
+
+
+#: Content-keyed intern table: fingerprint -> weak refs to the live
+#: keys with that fingerprint.  An entry leaves the table when its last
+#: holder (in practice, the last step using it) is collected.
+_GRID_TABLE: dict[tuple[object, ...], list["weakref.ref[GridKey]"]] = {}
+#: Guards the table's lookup-then-insert.  Reentrant: a collection run
+#: inside the guarded section may call :func:`_forget` in this thread.
+_GRID_LOCK = threading.RLock()
+
+
+def _fingerprint(
+    ii: np.ndarray, jj: np.ndarray, mask: Optional[np.ndarray]
+) -> tuple[object, ...]:
+    """Shapes plus a strided sample of each grid (candidate lookup only)."""
+    stride = ii.size // _FINGERPRINT_SAMPLES + 1
+    return (
+        ii.shape,
+        jj.shape,
+        ii.ravel()[::stride].tobytes(),
+        jj.ravel()[::stride].tobytes(),
+        None if mask is None else (mask.shape, mask.ravel()[::stride].tobytes()),
+    )
+
+
+def _forget(fingerprint: tuple[object, ...], ref: "weakref.ref[GridKey]") -> None:
+    with _GRID_LOCK:
+        bucket = _GRID_TABLE[fingerprint]
+        bucket.remove(ref)
+        if not bucket:
+            del _GRID_TABLE[fingerprint]
+
+
+def _check_grids(
+    ii: np.ndarray, jj: np.ndarray, mask: Optional[np.ndarray], label: str
+) -> None:
+    """Shape and range checks: a pure function of the grids' content."""
+    if ii.shape != jj.shape or ii.ndim != 2:
+        raise ValueError(
+            f"{label}: ii/jj must be matching 2-D grids, "
+            f"got {ii.shape} and {jj.shape}"
+        )
+    if ii.shape[0] != ii.shape[1]:
+        raise ValueError(
+            f"{label}: index grids must be square (w, w), got {ii.shape}"
+        )
+    w = ii.shape[0]
+    if mask is not None and mask.shape != ii.shape:
+        raise ValueError(
+            f"{label}: mask shape {mask.shape} must match the "
+            f"index grids {ii.shape}"
+        )
+    live = mask if mask is not None else slice(None)
+    for name, grid in (("ii", ii), ("jj", jj)):
+        vals = grid[live]
+        if vals.size and ((vals < 0) | (vals >= w)).any():
+            bad = int(vals[(vals < 0) | (vals >= w)][0])
+            raise ValueError(
+                f"{label}: {name} entries must lie in [0, {w}), found {bad}"
+            )
+
+
+def _frozen_copy(grid: np.ndarray) -> np.ndarray:
+    out = grid.copy()
+    out.setflags(write=False)
+    return out
+
+
+def _intern_grids(
+    ii: np.ndarray, jj: np.ndarray, mask: Optional[np.ndarray], label: str
+) -> GridKey:
+    """The shared key for these (normalised) grids, validating new ones.
+
+    A hit is confirmed by exact equality; a miss validates the grids
+    (raising ``ValueError`` with ``label``) and stores read-only copies,
+    leaving the caller's arrays untouched.
+    """
+    fingerprint = _fingerprint(ii, jj, mask)
+    with _GRID_LOCK:
+        for ref in tuple(_GRID_TABLE.get(fingerprint, ())):
+            key = ref()
+            if key is not None and key.holds(ii, jj, mask):
+                return key
+        _check_grids(ii, jj, mask, label)
+        key = GridKey(
+            _frozen_copy(ii),
+            _frozen_copy(jj),
+            None if mask is None else _frozen_copy(mask),
+        )
+        ref = weakref.ref(key, partial(_forget, fingerprint))
+        _GRID_TABLE.setdefault(fingerprint, []).append(ref)
+        return key
 
 
 @dataclass(frozen=True)
@@ -70,6 +210,13 @@ class KernelStep:
         irrelevant to the DMM cost model, so the access skeleton stays
         statically analysable).  Immediate steps compile with distinct
         per-lane sentinel values, so the static race check stays sound.
+    grid_key:
+        The interned :class:`GridKey` of ``(ii, jj, mask)``.  Grids are
+        shared and **read-only**: steps built from equal grids (as
+        int64 ``ii``/``jj``, bool ``mask``, a full mask as no mask)
+        hold the very same arrays, stored once per distinct grid, and
+        the same key.  The caller's input arrays are copied, never
+        frozen, and the grid checks run once per distinct grid.
     """
 
     op: str
@@ -79,6 +226,7 @@ class KernelStep:
     register: str = "r0"
     mask: Optional[np.ndarray] = None
     immediate: bool = False
+    grid_key: GridKey = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.op not in ("read", "write"):
@@ -86,40 +234,33 @@ class KernelStep:
         label = f"KernelStep({self.op} {self.array!r})"
         ii = np.ascontiguousarray(self.ii, dtype=np.int64)
         jj = np.ascontiguousarray(self.jj, dtype=np.int64)
-        if ii.shape != jj.shape or ii.ndim != 2:
-            raise ValueError(
-                f"{label}: ii/jj must be matching 2-D grids, "
-                f"got {ii.shape} and {jj.shape}"
-            )
-        if ii.shape[0] != ii.shape[1]:
-            raise ValueError(
-                f"{label}: index grids must be square (w, w), got {ii.shape}"
-            )
-        w = ii.shape[0]
         mask = self.mask
         if mask is not None:
             mask = np.ascontiguousarray(mask, dtype=bool)
-            if mask.shape != ii.shape:
-                raise ValueError(
-                    f"{label}: mask shape {mask.shape} must match the "
-                    f"index grids {ii.shape}"
-                )
-            if mask.all():
+            if mask.shape == ii.shape and mask.all():
                 mask = None  # a full mask is no mask
-        live = mask if mask is not None else slice(None)
-        for name, grid in (("ii", ii), ("jj", jj)):
-            vals = grid[live]
-            if vals.size and ((vals < 0) | (vals >= w)).any():
-                bad = int(vals[(vals < 0) | (vals >= w)][0])
-                raise ValueError(
-                    f"{label}: {name} entries must lie in [0, {w}), "
-                    f"found {bad}"
-                )
+        key = _intern_grids(ii, jj, mask, label)
         if self.immediate and self.op != "write":
             raise ValueError(f"{label}: immediate=True is only valid for writes")
-        object.__setattr__(self, "ii", ii)
-        object.__setattr__(self, "jj", jj)
-        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "grid_key", key)
+        object.__setattr__(self, "ii", key.ii)
+        object.__setattr__(self, "jj", key.jj)
+        object.__setattr__(self, "mask", key.mask)
+
+    def __reduce__(self) -> tuple[object, ...]:
+        # Rebuild through __init__ so an unpickled step re-interns.
+        return (
+            type(self),
+            (
+                self.op,
+                self.array,
+                self.ii,
+                self.jj,
+                self.register,
+                self.mask,
+                self.immediate,
+            ),
+        )
 
     @property
     def w(self) -> int:

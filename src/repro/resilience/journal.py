@@ -218,14 +218,19 @@ class JournalReport:
         deduplicates the way resume does.
     bad_lines:
         ``(line_no, reason)`` for every line that failed checksum or
-        JSON decoding.  A *single* bad final line is the torn-tail crash
-        signature resume tolerates; anything else is corruption.
+        JSON decoding.  A *single* bad final line with no newline after
+        it is the torn-tail crash signature resume tolerates; anything
+        else is corruption.
+    tail_line:
+        Line number of the bytes after the last newline — the only line
+        a crash can cut short — or 0 when the file ends in a newline.
     """
 
     path: Path
     header: dict | None = None
     records: list[tuple[int, str, object]] = field(default_factory=list)
     bad_lines: list[tuple[int, str]] = field(default_factory=list)
+    tail_line: int = 0
 
     @property
     def keys(self) -> dict[str, object]:
@@ -234,11 +239,14 @@ class JournalReport:
 
     @property
     def torn_tail_only(self) -> bool:
-        """True when the only damage is a single torn final line."""
+        """True when the only damage is a single torn final line.
+
+        Only bytes after the last newline can be torn: a complete,
+        newline-terminated bad line is corruption, wherever it sits.
+        """
         if self.header is None or len(self.bad_lines) != 1:
             return False
-        last_data_line = self.records[-1][0] if self.records else 1
-        return self.bad_lines[0][0] > last_data_line
+        return self.tail_line > 1 and self.bad_lines[0][0] == self.tail_line
 
     @property
     def ok(self) -> bool:
@@ -257,10 +265,13 @@ def verify_journal(path: str | Path) -> JournalReport:
     path = Path(path)
     report = JournalReport(path=path)
     try:
-        lines = path.read_bytes().splitlines()
+        data = path.read_bytes()
     except OSError as exc:  # missing file, a directory, no permission
         report.bad_lines.append((0, f"unreadable path: {exc.strerror or exc}"))
         return report
+    lines = data.splitlines()
+    if not data.endswith(b"\n"):
+        report.tail_line = len(lines)
     if not lines:
         report.bad_lines.append((0, "empty file (no header line)"))
         return report

@@ -1,8 +1,14 @@
 """Unit tests for repro.gpu.kernel — the CUDA-like kernel abstraction."""
 
+import gc
+import pickle
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+import repro.gpu.kernel as kernel_mod
 from repro.core.mappings import RAPMapping, RAWMapping
 from repro.gpu.kernel import KernelStep, SharedMemoryKernel, transpose_kernel
 from repro.gpu.timing import GPUTimingModel
@@ -71,6 +77,106 @@ class TestKernelStep:
         ii, jj = grids(4)
         with pytest.raises(ValueError, match="immediate"):
             KernelStep("read", "a", ii, jj, immediate=True)
+
+
+def _live_keys(ii, jj, mask=None):
+    """Live intern-table keys holding exactly these grids."""
+    bucket = kernel_mod._GRID_TABLE.get(kernel_mod._fingerprint(ii, jj, mask), ())
+    keys = [ref() for ref in bucket]
+    return [k for k in keys if k is not None and k.holds(ii, jj, mask)]
+
+
+class TestGridInterning:
+    def test_equal_steps_share_one_read_only_grid(self):
+        ii, jj = grids(8)
+        mask = (ii + jj) % 3 != 0
+        a = KernelStep("read", "a", ii, jj, mask=mask)
+        b = KernelStep(
+            "write", "b", ii.copy(), jj.astype(np.int32), mask=mask.copy()
+        )
+        assert a.grid_key is b.grid_key
+        assert a.ii is b.ii and a.jj is b.jj and a.mask is b.mask
+        for grid in (a.ii, a.jj, a.mask):
+            with pytest.raises(ValueError, match="read-only"):
+                grid[0, 0] = grid[0, 1]
+
+    def test_caller_arrays_stay_writable_and_unaliased(self):
+        ii, jj = grids(8)
+        ii = np.ascontiguousarray(ii, dtype=np.int64)
+        step = KernelStep("read", "a", ii, jj)
+        assert ii.flags.writeable
+        ii[0, 0] = 5  # the caller may reuse its buffer...
+        assert step.ii[0, 0] == 0  # ...without touching the step
+
+    def test_different_mask_or_content_gets_its_own_grid(self):
+        ii, jj = grids(8)
+        mask = np.ones((8, 8), dtype=bool)
+        mask[0, 0] = False
+        plain = KernelStep("read", "a", ii, jj)
+        masked = KernelStep("read", "a", ii, jj, mask=mask)
+        swapped = KernelStep("read", "a", jj, ii)
+        assert len({id(s.grid_key) for s in (plain, masked, swapped)}) == 3
+
+    def test_sample_collision_is_not_merged(self):
+        """Grids that agree on every fingerprint sample but differ
+        elsewhere stay distinct: a hit needs exact equality."""
+        w = 64
+        ii, jj = (np.ascontiguousarray(g, dtype=np.int64) for g in grids(w))
+        other = ii.copy()
+        other.ravel()[1] = (other.ravel()[1] + 1) % w  # not a sampled entry
+        fp = kernel_mod._fingerprint
+        assert fp(ii, jj, None) == fp(other, jj, None)
+        a = KernelStep("read", "a", ii, jj)
+        b = KernelStep("read", "a", other, jj)
+        assert a.grid_key is not b.grid_key
+        assert np.array_equal(b.ii, other)
+
+    def test_entries_leave_the_table_with_their_last_step(self):
+        w = 8
+        ii = (np.arange(w * w).reshape(w, w) * 5 + 3) % w
+        jj = (np.arange(w * w).reshape(w, w) * 3 + 1) % w
+        kernel = SharedMemoryKernel(
+            w, [KernelStep("read", "a", ii, jj), KernelStep("write", "b", ii, jj)]
+        )
+        assert len(_live_keys(ii, jj)) == 1
+        del kernel
+        gc.collect()
+        assert _live_keys(ii, jj) == []
+        assert kernel_mod._fingerprint(ii, jj, None) not in kernel_mod._GRID_TABLE
+
+    def test_concurrent_builders_share_one_grid_per_content(self):
+        """Threads interning the same grids at once still end with one
+        key per distinct content (the lookup-then-insert is guarded)."""
+        w = 8
+        base = np.arange(w * w).reshape(w, w)
+        contents = [((base * m + 1) % w, (base + m) % w) for m in range(1, 6)]
+        built = []
+
+        def build():
+            for _ in range(40):
+                for ii, jj in contents:
+                    built.append(KernelStep("read", "a", ii.copy(), jj.copy()))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(built) == 4 * 40 * len(contents)
+        assert len({id(step.grid_key) for step in built}) == len(contents)
+
+    def test_pickled_step_reinterns(self):
+        ii, jj = grids(8)
+        step = KernelStep("read", "a", ii, jj, register="x")
+        clone = pickle.loads(pickle.dumps(step))
+        assert clone.grid_key is step.grid_key
+        assert clone.register == "x"
 
 
 class TestFromPositions:

@@ -52,6 +52,24 @@ class TestJournalVerify:
         out = capsys.readouterr().out
         assert "torn final line" in out
 
+    def test_complete_bad_last_line_is_not_a_torn_tail(
+        self, journal_path, capsys
+    ):
+        """A bad line that ends in a newline was written whole: it is
+        corruption, not the crash signature, even as the last line."""
+        with journal_path.open("ab") as handle:
+            handle.write(b"\xff not text\n")
+        assert repro_main(["journal", "verify", str(journal_path)]) == 1
+        out = capsys.readouterr().out
+        assert "line 5" in out
+        assert "torn final line" not in out
+
+    def test_unterminated_bad_tail_is_a_torn_tail(self, journal_path, capsys):
+        with journal_path.open("ab") as handle:
+            handle.write(b"\xff not text")
+        assert repro_main(["journal", "verify", str(journal_path)]) == 1
+        assert "torn final line" in capsys.readouterr().out
+
     def test_bad_header_exits_nonzero(self, tmp_path, capsys):
         path = tmp_path / "noise.jsonl"
         path.write_text("this is not a journal\n")

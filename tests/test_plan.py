@@ -215,6 +215,86 @@ class TestAbsintUplift:
 
 
 # ---------------------------------------------------------------------------
+# per-grid memo: interned grids are analysed once, with unchanged verdicts
+# ---------------------------------------------------------------------------
+
+
+def _content_tables(kernel):
+    """Pool ids by array and grid content, in first-appearance order."""
+    pool = {}
+    ids = []
+    for step in kernel.steps:
+        key = (
+            step.array,
+            step.ii.tobytes(),
+            step.jj.tobytes(),
+            None if step.mask is None else step.mask.tobytes(),
+        )
+        ids.append(pool.setdefault(key, len(pool)))
+    return ids, len(pool)
+
+
+class TestGridMemo:
+    MEMO_W = 64
+
+    @pytest.mark.parametrize("app", ["sort", "fft"])
+    def test_one_abstraction_per_distinct_residual_grid(self, app, monkeypatch):
+        import repro.analysis.plan as plan_mod
+
+        kernel = build_app_program(app, RAWMapping(self.MEMO_W), seed=SEED)
+        calls = []
+        original = plan_mod.abstract_step
+
+        def counted(step, w, index=-1):
+            calls.append(step.grid_key)
+            return original(step, w, index=index)
+
+        monkeypatch.setattr(plan_mod, "abstract_step", counted)
+        plan = compile_plan(kernel, "RAP", app)
+        analysed = {
+            step.grid_key
+            for step, sp in zip(kernel.steps, plan.steps)
+            if sp.method not in ("symbolic", "deterministic")
+        }
+        n_steps = sum(
+            sp.method not in ("symbolic", "deterministic") for sp in plan.steps
+        )
+        assert len(calls) == len(set(calls)) == len(analysed)
+        assert set(calls) == analysed
+        assert len(analysed) < n_steps  # the memo is what saves calls
+
+    @pytest.mark.parametrize("app", ["sort", "fft"])
+    @pytest.mark.parametrize("family", PLAN_FAMILIES)
+    def test_plan_equals_unshared_kernel_plan(self, app, family, monkeypatch):
+        """A kernel whose every step owns its grids (no interning, so no
+        memo hit) compiles to the same verdicts, and content pooling
+        gives the interned plan's table ids."""
+        import repro.gpu.kernel as kernel_mod
+
+        shared = build_app_program(app, RAWMapping(self.MEMO_W), seed=SEED)
+        want = compile_plan(shared, family, app).to_dict()
+
+        def unshared(ii, jj, mask, label):
+            kernel_mod._check_grids(ii, jj, mask, label)
+            return kernel_mod.GridKey(
+                ii.copy(), jj.copy(), None if mask is None else mask.copy()
+            )
+
+        with monkeypatch.context() as m:
+            m.setattr(kernel_mod, "_intern_grids", unshared)
+            alone = build_app_program(app, RAWMapping(self.MEMO_W), seed=SEED)
+        keys = {id(step.grid_key) for step in alone.steps}
+        assert len(keys) == len(alone.steps)
+        got = compile_plan(alone, family, app).to_dict()
+        ids, tables = _content_tables(alone)
+        assert got["tables"] == len(alone.steps)
+        got["tables"] = tables
+        for row, table in zip(got["plan"], ids):
+            row["table"] = table
+        assert got == want
+
+
+# ---------------------------------------------------------------------------
 # family membership checks
 # ---------------------------------------------------------------------------
 
